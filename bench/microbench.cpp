@@ -9,6 +9,7 @@
 #include "core/generator.hpp"
 #include "core/warp_construction.hpp"
 #include "dmm/access.hpp"
+#include "dmm_reference.hpp"
 #include "mergepath/partition.hpp"
 #include "sort/cpu_reference.hpp"
 #include "sort/pairwise_sort.hpp"
@@ -71,6 +72,71 @@ void BM_DmmAnalyzeStep(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DmmAnalyzeStep);
+
+/// Step shapes for the analyzer variants below; mid_grade is the step of
+/// BM_DmmAnalyzeStep above.
+enum class StepCase { mid_grade, conflict_free, single_bank, broadcast, w17 };
+
+struct CaseStep {
+  std::vector<dmm::Request> requests;
+  std::size_t banks = 32;
+};
+
+CaseStep make_step(StepCase c) {
+  CaseStep s;
+  const std::size_t lanes = c == StepCase::w17 ? 17 : 32;
+  s.banks = lanes;
+  for (std::size_t lane = 0; lane < lanes; ++lane) {
+    std::size_t addr = 0;
+    switch (c) {
+      case StepCase::mid_grade:
+        addr = (lane % 8) * 32 + lane;
+        break;
+      case StepCase::conflict_free:
+        addr = lane;
+        break;
+      case StepCase::single_bank:  // 32 distinct addresses, all in bank 0
+        addr = lane * 32;
+        break;
+      case StepCase::broadcast:  // every lane reads one address
+        addr = 7;
+        break;
+      case StepCase::w17:  // non-power-of-two banks, 4-way conflicts
+        addr = (lane % 4) * 17 + lane;
+        break;
+    }
+    s.requests.push_back({lane, addr, dmm::Op::read, 0});
+  }
+  return s;
+}
+
+// Production analyzer on each step shape.
+void BM_DmmAnalyzeStep(benchmark::State& state, StepCase c) {
+  const CaseStep s = make_step(c);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(dmm::analyze_step(s.requests, s.banks));
+  }
+}
+BENCHMARK_CAPTURE(BM_DmmAnalyzeStep, conflict_free, StepCase::conflict_free);
+BENCHMARK_CAPTURE(BM_DmmAnalyzeStep, single_bank, StepCase::single_bank);
+BENCHMARK_CAPTURE(BM_DmmAnalyzeStep, broadcast, StepCase::broadcast);
+BENCHMARK_CAPTURE(BM_DmmAnalyzeStep, w17, StepCase::w17);
+
+// The tests' sort-based reference oracle on the same shapes: the ratio to
+// the matching BM_DmmAnalyzeStep row is the production analyzer's speedup.
+void BM_DmmAnalyzeStepReference(benchmark::State& state, StepCase c) {
+  const CaseStep s = make_step(c);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(dmm::reference::analyze_step(s.requests, s.banks));
+  }
+}
+BENCHMARK_CAPTURE(BM_DmmAnalyzeStepReference, mid_grade, StepCase::mid_grade);
+BENCHMARK_CAPTURE(BM_DmmAnalyzeStepReference, conflict_free,
+                  StepCase::conflict_free);
+BENCHMARK_CAPTURE(BM_DmmAnalyzeStepReference, single_bank,
+                  StepCase::single_bank);
+BENCHMARK_CAPTURE(BM_DmmAnalyzeStepReference, broadcast, StepCase::broadcast);
+BENCHMARK_CAPTURE(BM_DmmAnalyzeStepReference, w17, StepCase::w17);
 
 void BM_SimulatedSort(benchmark::State& state) {
   const sort::SortConfig cfg{5, 64, 32};

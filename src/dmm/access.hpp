@@ -18,6 +18,12 @@
 //
 // CREW: concurrent writes to the same address are a model violation and
 // throw; concurrent reads are allowed (and broadcast for free).
+//
+// Steps of at most 64 requests on at most 64 banks (every simulated warp)
+// are priced in one pass over stack storage: each distinct address joins
+// its bank's chain, and one sweep over the touched banks yields the cost.
+// No sort, no heap allocation.  Wider steps run the same algorithm on heap
+// storage.
 
 #include <cstddef>
 #include <cstdint>
@@ -53,7 +59,8 @@ struct StepCost {
 
 /// Analyze one synchronous step on a machine with `num_banks` modules.
 /// Throws wcm::contract_error on a CREW violation (two writes, or a read and
-/// a write, to the same address) or on duplicate processor ids.
+/// a write, to the same address) or when one processor id appears twice,
+/// whatever addresses its requests name.
 [[nodiscard]] StepCost analyze_step(std::span<const Request> step,
                                     std::size_t num_banks);
 

@@ -9,11 +9,6 @@
 
 namespace wcm::dmm {
 
-std::size_t bank_of(std::size_t addr, std::size_t w) {
-  WCM_EXPECTS(w > 0, "bank count must be positive");
-  return addr % w;
-}
-
 std::size_t column_of(std::size_t addr, std::size_t w) {
   WCM_EXPECTS(w > 0, "bank count must be positive");
   return addr / w;

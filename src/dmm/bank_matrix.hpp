@@ -9,10 +9,15 @@
 #include <functional>
 #include <string>
 
+#include "util/check.hpp"
+
 namespace wcm::dmm {
 
 /// Bank (memory module) holding address `addr` on a machine with `w` banks.
-[[nodiscard]] std::size_t bank_of(std::size_t addr, std::size_t w);
+[[nodiscard]] inline std::size_t bank_of(std::size_t addr, std::size_t w) {
+  WCM_EXPECTS(w > 0, "bank count must be positive");
+  return addr % w;
+}
 
 /// Column of the bank matrix holding address `addr`.
 [[nodiscard]] std::size_t column_of(std::size_t addr, std::size_t w);

@@ -31,16 +31,6 @@ Machine::Machine(std::size_t num_modules, std::size_t memory_words)
   WCM_EXPECTS(num_modules > 0, "need at least one memory module");
 }
 
-word Machine::peek(std::size_t addr) const {
-  WCM_EXPECTS(addr < mem_.size(), "peek out of bounds");
-  return mem_[addr];
-}
-
-void Machine::poke(std::size_t addr, word value) {
-  WCM_EXPECTS(addr < mem_.size(), "poke out of bounds");
-  mem_[addr] = value;
-}
-
 void Machine::fill(std::span<const word> values, std::size_t base) {
   WCM_EXPECTS(base + values.size() <= mem_.size(), "fill out of bounds");
   std::copy(values.begin(), values.end(),
@@ -55,25 +45,24 @@ std::vector<word> Machine::dump(std::size_t base, std::size_t count) const {
 
 StepCost Machine::step(std::span<const Request> requests,
                        std::vector<word>* reads_out) {
+  // One pass validates every request and gathers the reads before anything
+  // is accounted or written.  Reads see the pre-step memory state
+  // (synchronous semantics); CREW (no read+write of one address in a step,
+  // enforced by analyze_step) makes the read/write order within the step
+  // immaterial.
+  if (reads_out != nullptr) {
+    reads_out->clear();
+  }
   for (const Request& r : requests) {
     WCM_EXPECTS(r.proc < w_, "processor id out of range");
     WCM_EXPECTS(r.addr < mem_.size(), "request address out of bounds");
+    if (reads_out != nullptr && r.op == Op::read) {
+      reads_out->push_back(mem_[r.addr]);
+    }
   }
 
   const StepCost cost = analyze_step(requests, w_);
   stats_ += cost;
-
-  // Reads see the pre-step memory state (synchronous semantics); CREW (no
-  // read+write of one address in a step, enforced by analyze_step) makes
-  // the read/write order within the step immaterial.
-  if (reads_out != nullptr) {
-    reads_out->clear();
-    for (const Request& r : requests) {
-      if (r.op == Op::read) {
-        reads_out->push_back(mem_[r.addr]);
-      }
-    }
-  }
   for (const Request& r : requests) {
     if (r.op == Op::write) {
       mem_[r.addr] = r.value;

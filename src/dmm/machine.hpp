@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "dmm/access.hpp"
+#include "util/check.hpp"
 
 namespace wcm::dmm {
 
@@ -42,8 +43,14 @@ class Machine {
   }
 
   /// Unaccounted host-side access (setup / verification only).
-  [[nodiscard]] word peek(std::size_t addr) const;
-  void poke(std::size_t addr, word value);
+  [[nodiscard]] word peek(std::size_t addr) const {
+    WCM_EXPECTS(addr < mem_.size(), "peek out of bounds");
+    return mem_[addr];
+  }
+  void poke(std::size_t addr, word value) {
+    WCM_EXPECTS(addr < mem_.size(), "poke out of bounds");
+    mem_[addr] = value;
+  }
   void fill(std::span<const word> values, std::size_t base = 0);
   [[nodiscard]] std::vector<word> dump(std::size_t base,
                                        std::size_t count) const;

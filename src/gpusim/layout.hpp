@@ -25,6 +25,7 @@
 // gcd(pad, w) = 1.  Values are always addressed logically; only conflict
 // accounting sees physical addresses.
 
+#include <bit>
 #include <cstddef>
 #include <string>
 
@@ -61,6 +62,18 @@ struct SharedLayout {
   }
 
   [[nodiscard]] std::size_t physical(std::size_t logical) const noexcept {
+    if ((w & (w - 1)) == 0) {
+      // Power-of-two w (every real warp): shifts and masks, no division.
+      const u32 mask = w - 1;
+      const std::size_t row = logical >> std::countr_zero(w);
+      u32 col = static_cast<u32>(logical) & mask;
+      if (kind == LayoutKind::xor_swizzle) {
+        col ^= static_cast<u32>(row) & mask;
+      } else if (kind == LayoutKind::rotation) {
+        col = (col + static_cast<u32>(row)) & mask;
+      }
+      return row * (w + pad) + col;
+    }
     const std::size_t row = logical / w;
     const u32 col = static_cast<u32>(logical % w);
     return row * (w + pad) + permute(col, row);

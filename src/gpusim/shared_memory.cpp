@@ -38,7 +38,8 @@ void SharedMemory::barrier() {
   }
 }
 
-std::vector<word> SharedMemory::warp_read(std::span<const LaneRead> reads) {
+std::span<const word> SharedMemory::warp_read(
+    std::span<const LaneRead> reads) {
   WCM_CHECK_SIM(reads.size() <= warp_size_, "more requests than lanes");
   WCM_FAILPOINT("sim.smem.invariant", simulation_error,
                 "injected mid-access invariant break");

@@ -46,8 +46,10 @@ class SharedMemory {
   [[nodiscard]] const SharedLayout& layout() const noexcept { return layout_; }
 
   /// One warp-wide load; returns the value read by each request, in request
-  /// order.  Lanes must be distinct.  Accounted as one DMM step.
-  std::vector<word> warp_read(std::span<const LaneRead> reads);
+  /// order.  Lanes must be distinct.  Accounted as one DMM step.  The span
+  /// views a buffer this memory reuses: it stays valid until the next
+  /// warp_read or warp_write on this memory.
+  std::span<const word> warp_read(std::span<const LaneRead> reads);
 
   /// One warp-wide store.  Accounted as one DMM step.
   void warp_write(std::span<const LaneWrite> writes);

@@ -1,5 +1,6 @@
 #include "util/failpoint.hpp"
 
+#include <atomic>
 #include <charconv>
 #include <cstdlib>
 #include <map>
@@ -44,7 +45,9 @@ struct State {
   bool armed = false;
   std::uint64_t skip = 0;
   std::int64_t times = -1;  // <0: unlimited
-  std::uint64_t evaluations = 0;
+  /// Atomic so detail::Site can count disarmed evaluations without the
+  /// registry mutex; every other field is guarded by it.
+  std::atomic<std::uint64_t> evaluations{0};
   std::uint64_t triggers = 0;
 };
 
@@ -56,7 +59,7 @@ struct Registry {
 
   Registry() {
     for (const char* name : kBuiltin) {
-      points.emplace(name, State{});
+      points.try_emplace(name);
     }
   }
 };
@@ -64,6 +67,16 @@ struct Registry {
 Registry& registry() {
   static Registry r;
   return r;
+}
+
+/// Re-derive detail::active after the armed set or env state changed.
+/// Caller holds the registry mutex.
+void refresh_active_locked(const Registry& r) {
+  bool any = !r.env_checked;
+  for (const auto& [name, s] : r.points) {
+    any = any || s.armed;
+  }
+  detail::active.store(any, std::memory_order_relaxed);
 }
 
 struct ParsedEntry {
@@ -129,6 +142,7 @@ ParsedEntry parse_entry(const std::string& entry) {
 /// of being swallowed).  Caller holds the registry mutex.
 std::size_t apply_env_locked(Registry& r) {
   r.env_checked = true;
+  refresh_active_locked(r);
   // NOLINTNEXTLINE(concurrency-mt-unsafe): read-only env probe; nothing
   // in the process calls setenv.
   const char* env = std::getenv("WCM_FAILPOINTS");
@@ -159,10 +173,26 @@ std::size_t apply_env_locked(Registry& r) {
     s.skip = p.skip;
     s.times = p.times;
   }
+  refresh_active_locked(r);
   return parsed.size();
 }
 
 }  // namespace
+
+namespace detail {
+
+// Starts true so the first evaluation anywhere takes the locked path and
+// reads WCM_FAILPOINTS.
+std::atomic<bool> active{true};
+
+Site::Site(const char* name) : name_(name) {
+  Registry& r = registry();
+  std::lock_guard<std::mutex> lock(r.mu);
+  // std::map nodes are never erased, so the counter's address is stable.
+  evaluations_ = &r.points[name].evaluations;
+}
+
+}  // namespace detail
 
 bool should_fail(const char* name) {
   Registry& r = registry();
@@ -171,7 +201,7 @@ bool should_fail(const char* name) {
     apply_env_locked(r);
   }
   State& s = r.points[name];
-  ++s.evaluations;
+  s.evaluations.fetch_add(1, std::memory_order_relaxed);
   if (!s.armed) {
     return false;
   }
@@ -196,6 +226,7 @@ void arm(const std::string& name, std::uint64_t skip, std::int64_t times) {
   s.armed = true;
   s.skip = skip;
   s.times = times;
+  refresh_active_locked(r);
 }
 
 void disarm(const std::string& name) {
@@ -205,6 +236,7 @@ void disarm(const std::string& name) {
   if (it != r.points.end()) {
     it->second.armed = false;
   }
+  refresh_active_locked(r);
 }
 
 void disarm_all() {
@@ -213,13 +245,14 @@ void disarm_all() {
   for (auto& [name, s] : r.points) {
     s.armed = false;
   }
+  refresh_active_locked(r);
 }
 
 void reset_counters() {
   Registry& r = registry();
   std::lock_guard<std::mutex> lock(r.mu);
   for (auto& [name, s] : r.points) {
-    s.evaluations = 0;
+    s.evaluations.store(0, std::memory_order_relaxed);
     s.triggers = 0;
   }
 }
@@ -235,7 +268,9 @@ std::uint64_t evaluations(const std::string& name) {
   Registry& r = registry();
   std::lock_guard<std::mutex> lock(r.mu);
   const auto it = r.points.find(name);
-  return it == r.points.end() ? 0 : it->second.evaluations;
+  return it == r.points.end()
+             ? 0
+             : it->second.evaluations.load(std::memory_order_relaxed);
 }
 
 std::uint64_t triggers(const std::string& name) {
@@ -279,6 +314,7 @@ scoped_disarm::scoped_disarm() {
       s.armed = false;
     }
   }
+  refresh_active_locked(r);
 }
 
 scoped_disarm::scoped_disarm(const std::string& name) {
@@ -289,6 +325,7 @@ scoped_disarm::scoped_disarm(const std::string& name) {
     saved_.push_back({name, it->second.skip, it->second.times});
     it->second.armed = false;
   }
+  refresh_active_locked(r);
 }
 
 scoped_disarm::~scoped_disarm() {

@@ -2,10 +2,14 @@
 // Fault-injection failpoints.
 //
 // A failpoint is a named hook compiled into an error-prone code path (short
-// read, allocation, mid-round simulator invariant, ...).  Disarmed, a
-// failpoint is a mutex-guarded counter bump; armed, it makes the
-// instrumented site throw its typed error so tests — and operators chasing
-// a production incident — can prove every error path actually fires.
+// read, allocation, mid-round simulator invariant, ...).  While nothing is
+// armed (and WCM_FAILPOINTS has been read), a WCM_FAILPOINT site costs one
+// relaxed load of a process-wide "active" flag plus a relaxed increment of
+// its own cached evaluation counter: no lock, no name lookup, so sites may
+// sit on per-step simulator paths.  While any failpoint is armed, every
+// site takes the mutex-guarded registry path; an armed failpoint makes its
+// site throw its typed error so tests — and operators chasing a production
+// incident — can prove every error path actually fires.
 //
 // Activation:
 //   * in code:   failpoint::arm("io.read.truncated");  (or scoped_arm RAII)
@@ -20,6 +24,7 @@
 // list of baked-in names is returned by failpoint::known() and documented
 // in docs/API.md.
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -28,8 +33,38 @@ namespace wcm::failpoint {
 
 /// Count one evaluation of `name`; true iff the failpoint is armed and
 /// elects to fire (consuming one of its remaining shots).  Registers the
-/// name on first sight.  Thread-safe.
+/// name on first sight.  Thread-safe; always takes the registry mutex
+/// (WCM_FAILPOINT sites use the lock-free detail::Site instead).
 [[nodiscard]] bool should_fail(const char* name);
+
+namespace detail {
+
+/// True while any failpoint is armed or WCM_FAILPOINTS is still unread.
+extern std::atomic<bool> active;
+
+/// One WCM_FAILPOINT site.  Registers its name once and caches the
+/// failpoint's evaluation counter, so the common disarmed evaluation is a
+/// relaxed flag load and a relaxed increment.  A site that races a
+/// concurrent arm() may count one more disarmed evaluation before it sees
+/// the flag; after that it takes should_fail()'s locked path.
+class Site {
+ public:
+  explicit Site(const char* name);
+
+  [[nodiscard]] bool should_fail() {
+    if (!active.load(std::memory_order_relaxed)) {
+      evaluations_->fetch_add(1, std::memory_order_relaxed);
+      return false;
+    }
+    return failpoint::should_fail(name_);
+  }
+
+ private:
+  const char* name_;
+  std::atomic<std::uint64_t>* evaluations_;
+};
+
+}  // namespace detail
 
 /// Arm `name`: skip the first `skip` evaluations, then fire `times` times
 /// (`times < 0` = fire forever).
@@ -99,9 +134,10 @@ class scoped_disarm {
 
 /// Failpoint site: when `name` fires, throw `ErrorType(msg, "failpoint
 /// <name>")`.  `name` must be a string literal.
-#define WCM_FAILPOINT(name, ErrorType, msg)             \
-  do {                                                  \
-    if (::wcm::failpoint::should_fail(name)) {          \
-      throw ErrorType((msg), "failpoint " name);        \
-    }                                                   \
+#define WCM_FAILPOINT(name, ErrorType, msg)                          \
+  do {                                                               \
+    static ::wcm::failpoint::detail::Site wcm_failpoint_site_{name}; \
+    if (wcm_failpoint_site_.should_fail()) {                         \
+      throw ErrorType((msg), "failpoint " name);                     \
+    }                                                                \
   } while (false)

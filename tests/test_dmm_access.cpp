@@ -7,6 +7,7 @@
 
 #include "dmm/access.hpp"
 #include "dmm/bank_matrix.hpp"
+#include "dmm_reference.hpp"
 #include "util/check.hpp"
 
 namespace wcm::dmm {
@@ -119,6 +120,20 @@ TEST(AnalyzeStep, DistinctWritesAreAllowed) {
 TEST(AnalyzeStep, DuplicateProcessorThrows) {
   std::vector<Request> step{{0, 5, Op::read, 0}, {0, 5, Op::read, 0}};
   EXPECT_THROW((void)analyze_step(step, 32), contract_error);
+}
+
+TEST(AnalyzeStep, DuplicateProcessorDifferentAddressThrows) {
+  // One processor issues at most one request per step, whatever addresses
+  // its requests name: lanes below 64 (the bit-mask check), ids of 64 and
+  // above (the pairwise check), and the reference oracle alike.
+  for (const std::size_t proc : {std::size_t{0}, std::size_t{63},
+                                 std::size_t{64}, std::size_t{1000}}) {
+    const std::vector<Request> step{
+        {proc, 5, Op::read, 0}, {1, 9, Op::read, 0}, {proc, 6, Op::read, 0}};
+    EXPECT_THROW((void)analyze_step(step, 32), contract_error) << proc;
+    EXPECT_THROW((void)reference::analyze_step(step, 32), contract_error)
+        << proc;
+  }
 }
 
 // Lemma 1 (property over k and w): some set of w distinct addresses within

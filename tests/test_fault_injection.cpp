@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -562,6 +563,71 @@ TEST_F(FaultInjectionTest, EveryRegisteredFailpointFired) {
     EXPECT_GE(failpoint::evaluations(name), failpoint::triggers(name));
     std::filesystem::remove(path_);
   }
+}
+
+// WCM_FAILPOINT sites count disarmed evaluations without the registry
+// lock.  Under contention every evaluation must still be counted exactly
+// once, and arming mid-run must still reach every evaluating thread.
+TEST(FailpointConcurrency, DisarmedEvaluationsCountExactly) {
+  failpoint::disarm_all();
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kReads = 20000;
+  const std::vector<gpusim::LaneRead> reads{{0, 0}};
+  const char* const name = "sim.smem.invariant";
+
+  const auto before = failpoint::evaluations(name);
+  {
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&reads] {
+        gpusim::SharedMemory shm(32, 64);
+        for (std::size_t i = 0; i < kReads; ++i) {
+          (void)shm.warp_read(reads);
+        }
+      });
+    }
+    for (auto& th : threads) {
+      th.join();
+    }
+  }
+  EXPECT_EQ(failpoint::evaluations(name), before + kThreads * kReads);
+
+  // Arm while the threads read: each one reads until the failpoint fires.
+  const auto evals_before = failpoint::evaluations(name);
+  const auto fired_before = failpoint::triggers(name);
+  std::atomic<std::size_t> started{0};
+  std::vector<std::size_t> calls(kThreads, 0);
+  {
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&reads, &started, &calls, t] {
+        gpusim::SharedMemory shm(32, 64);
+        started.fetch_add(1);
+        for (;;) {
+          ++calls[t];
+          try {
+            (void)shm.warp_read(reads);
+          } catch (const simulation_error&) {
+            return;
+          }
+        }
+      });
+    }
+    while (started.load() < kThreads) {
+      std::this_thread::yield();
+    }
+    failpoint::arm(name);
+    for (auto& th : threads) {
+      th.join();
+    }
+  }
+  failpoint::disarm(name);
+  std::size_t total = 0;
+  for (const std::size_t c : calls) {
+    total += c;
+  }
+  EXPECT_EQ(failpoint::evaluations(name), evals_before + total);
+  EXPECT_EQ(failpoint::triggers(name), fired_before + kThreads);
 }
 
 }  // namespace

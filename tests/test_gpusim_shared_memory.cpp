@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
 #include "gpusim/shared_memory.hpp"
 #include "util/check.hpp"
 
@@ -14,8 +17,25 @@ TEST(SharedMemory, ReadReturnsValues) {
     shm.poke(a, static_cast<word>(100 + a));
   }
   const std::vector<LaneRead> reads{{0, 5}, {1, 37}, {2, 5}};
-  const auto vals = shm.warp_read(reads);
-  EXPECT_EQ(vals, (std::vector<word>{105, 137, 105}));
+  const std::span<const word> vals = shm.warp_read(reads);
+  EXPECT_EQ(std::vector<word>(vals.begin(), vals.end()),
+            (std::vector<word>{105, 137, 105}));
+}
+
+TEST(SharedMemory, ReadSpanValidUntilNextAccess) {
+  // warp_read returns a view of a reused buffer, not a copy: the next
+  // read overwrites it in place.
+  SharedMemory shm(32, 64);
+  shm.poke(1, 11);
+  shm.poke(2, 22);
+  const std::vector<LaneRead> first{{0, 1}};
+  const std::vector<LaneRead> second{{0, 2}};
+  const std::span<const word> a = shm.warp_read(first);
+  ASSERT_EQ(a.size(), 1u);
+  EXPECT_EQ(a[0], 11);
+  const std::span<const word> b = shm.warp_read(second);
+  EXPECT_EQ(b.data(), a.data());
+  EXPECT_EQ(b[0], 22);
 }
 
 TEST(SharedMemory, WriteStores) {
@@ -62,7 +82,9 @@ TEST(SharedMemory, NonPow2WarpAllowedExceptUnderXor) {
   SharedMemory shm(31, 62);
   shm.poke(33, 7);
   const std::vector<LaneRead> reads{{0, 33}};
-  EXPECT_EQ(shm.warp_read(reads), std::vector<word>{7});
+  const std::span<const word> vals = shm.warp_read(reads);
+  ASSERT_EQ(vals.size(), 1u);
+  EXPECT_EQ(vals[0], 7);
   EXPECT_THROW(
       SharedMemory(SharedLayout{31, 0, LayoutKind::xor_swizzle}, 62),
       contract_error);
