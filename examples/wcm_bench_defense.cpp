@@ -20,8 +20,7 @@
 
 #include "gpusim/device.hpp"
 #include "gpusim/layout.hpp"
-#include "sort/pairwise_sort.hpp"
-#include "sort/shearsort.hpp"
+#include "sort/registry.hpp"
 #include "util/error.hpp"
 #include "workload/inputs.hpp"
 
@@ -87,9 +86,7 @@ int run(int argc, char** argv) {
       cfg.padding = v.pad;
       cfg.layout = v.layout;
       const auto report =
-          v.engine == std::string("pairwise")
-              ? sort::pairwise_merge_sort(*input, cfg, dev)
-              : sort::shearsort(*input, cfg, dev);
+          sort::launch(sort::find_runnable(v.engine), *input, cfg, dev);
       Cell cell;
       cell.variant = &v;
       cell.input = name;

@@ -145,11 +145,8 @@ int run(int argc, char** argv) {
     throw parse_error("--trace requires a single --engine to certify against");
   }
 
-  const std::vector<std::string> engines =
-      engine == "all" ? analyze::symbolic::all_engines()
-                      : std::vector<std::string>{engine};
   analyze::symbolic::ProveReport report =
-      analyze::symbolic::prove(engines, opts);
+      analyze::symbolic::prove(analyze::symbolic::engines_named(engine), opts);
 
   if (!trace_path.empty()) {
     std::ifstream is(trace_path);
@@ -184,8 +181,8 @@ int main(int argc, char** argv) {
               << "(run 'wcm-prove --help' for the full synopsis)\n";
     return 2;
   } catch (const wcm::contract_error& e) {
-    // Shape contracts (w a power of two, b a multiple of w, ...) are
-    // violated by flag values, so they are usage errors here.
+    // Shape and parameter errors (sort/registry.hpp's check, typed
+    // config_error) come from flag values, so they are usage errors here.
     std::cerr << "usage error: " << e.what() << "\n"
               << "(run 'wcm-prove --help' for the full synopsis)\n";
     return 2;

@@ -78,14 +78,10 @@
 #include "telemetry/eventlog.hpp"
 #include "util/json.hpp"
 #include "util/version.hpp"
-#include "sort/bitonic.hpp"
 #include "util/failpoint.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/span.hpp"
-#include "sort/multiway.hpp"
-#include "sort/pairwise_sort.hpp"
-#include "sort/radix.hpp"
-#include "sort/shearsort.hpp"
+#include "sort/registry.hpp"
 #include "util/error.hpp"
 #include "workload/inputs.hpp"
 #include "workload/inversions.hpp"
@@ -416,10 +412,16 @@ int cmd_sort(const Args& a) {
   const auto dev = device_from(a);
   const u32 k = static_cast<u32>(a.get_u64("k", 6, 40));  // n = bE * 2^k
   const std::size_t n = cfg.tile() << k;
-  const auto lib = parse_choice<sort::MergeSortLibrary>(
+  const sort::EngineInfo& engine =
+      sort::find_runnable(a.get("algorithm", "pairwise"));
+  sort::EngineParams params;
+  params.library = parse_choice<sort::MergeSortLibrary>(
       "--library", a.get("library", "thrust"),
       {{"thrust", sort::MergeSortLibrary::thrust},
        {"mgpu", sort::MergeSortLibrary::mgpu}});
+  params.ways = a.get_u32("ways", params.ways);
+  params.digit_bits = a.get_u32("digit-bits", params.digit_bits);
+  sort::check(engine, cfg, params);
 
   const auto kind = parse_choice<workload::InputKind>(
       "--input", a.get("input", "worst-case"),
@@ -430,33 +432,8 @@ int cmd_sort(const Args& a) {
        {"worst-case", workload::InputKind::worst_case}});
 
   const auto input = workload::make_input(kind, n, cfg, a.get_u64("seed", 1));
-  const std::string algo = a.get("algorithm", "pairwise");
-  sort::SortReport report;
-  if (algo == "multiway") {
-    report = sort::multiway_merge_sort(input, cfg, dev, a.get_u32("ways", 4));
-  } else if (algo == "bitonic") {
-    sort::SortConfig bcfg = cfg;
-    bcfg.E = 2;
-    std::size_t n2 = 1;
-    while (n2 * 2 <= n) {
-      n2 *= 2;
-    }
-    report = sort::bitonic_sort(
-        std::vector<dmm::word>(input.begin(),
-                               input.begin() +
-                                   static_cast<std::ptrdiff_t>(n2)),
-        bcfg, dev);
-  } else if (algo == "radix") {
-    report = sort::radix_sort(input, cfg, dev, a.get_u32("digit-bits", 4));
-  } else if (algo == "shearsort") {
-    report = sort::shearsort(input, cfg, dev);
-  } else if (algo == "pairwise") {
-    report = sort::pairwise_merge_sort(input, cfg, dev, lib);
-  } else {
-    throw parse_error("unknown value '" + algo +
-                      "' for --algorithm (valid: pairwise, multiway, "
-                      "bitonic, radix, shearsort)");
-  }
+  const sort::SortReport report =
+      sort::launch(engine, input, cfg, dev, params);
   if (!trace_out.empty()) {
     std::ofstream os(trace_out);
     if (!os) {
@@ -517,63 +494,38 @@ int cmd_analyze(const Args& a) {
   return analyze::run_lint({in}, opts, std::cout, std::cerr);
 }
 
-/// The symbolic shape flag set shared by the `prove` branches and
-/// `verify`: one parse, one set of defaults, so the subcommands cannot
-/// drift apart on flag semantics.
-struct SymbolicShapeFlags {
-  u32 w = 32;
-  u32 b = 64;
-  u32 pad = 0;
-  gpusim::LayoutKind layout = gpusim::LayoutKind::linear;
-  u32 e_min = 3;
-  u32 e_max = 0;
-  u32 ways = 4;
-  u32 digit_bits = 4;
-  bool any_e = false;
-  bool json = false;
-};
-
-SymbolicShapeFlags symbolic_shape_flags(const Args& a, u32 e_min_default,
-                                        u32 e_max_default) {
-  SymbolicShapeFlags f;
-  f.w = a.get_u32("w", 32);
-  f.b = a.get_u32("b", 64);
-  f.pad = a.get_u32("pad", 0);
+/// Read the symbolic shape flag set shared by the `prove` branches and
+/// `verify` into `f`, whose values are the defaults: one parse, so the
+/// subcommands cannot drift apart on flag semantics.
+void read_shape_flags(const Args& a, analyze::symbolic::ProveOptions& f) {
+  f.w = a.get_u32("w", f.w);
+  f.b = a.get_u32("b", f.b);
+  f.pad = a.get_u32("pad", f.pad);
   f.layout = gpusim::parse_layout_kind(a.get("layout", "linear"));
-  f.e_min = a.get_u32("E-min", e_min_default);
-  f.e_max = a.get_u32("E-max", e_max_default);
-  f.ways = a.get_u32("ways", 4);
-  f.digit_bits = a.get_u32("digit-bits", 4);
+  f.e_min = a.get_u32("E-min", f.e_min);
+  f.e_max = a.get_u32("E-max", f.e_max);
+  f.ways = a.get_u32("ways", f.ways);
+  f.digit_bits = a.get_u32("digit-bits", f.digit_bits);
   f.any_e = a.flag("any-E");
   f.json = a.flag("json");
-  return f;
 }
 
 std::vector<std::string> engine_list(const Args& a) {
-  const std::string engine = a.get("engine", "all");
-  return engine == "all" ? analyze::symbolic::all_engines()
-                         : std::vector<std::string>{engine};
+  return analyze::symbolic::engines_named(a.get("engine", "all"));
 }
 
 int cmd_prove(const Args& a) {
   a.require_known("prove", {"engine", "w", "b", "pad", "layout", "E-min",
                             "E-max", "any-E", "ways", "digit-bits", "json",
                             "certify", "bs", "pads"});
-  const SymbolicShapeFlags shape = symbolic_shape_flags(a, 3, 0);
+  analyze::symbolic::ProveOptions opts;
+  read_shape_flags(a, opts);
   if (a.flag("certify")) {
     // Certification mode: universally quantified conflict-freedom over a
     // (b, pad) grid, or a replay-confirmed counterexample (docs/THEORY.md).
-    analyze::symbolic::CertifyOptions copts;
-    copts.w = shape.w;
+    analyze::symbolic::CertifyOptions copts{opts};
     copts.bs = parse_u32_list("--bs", a.get("bs", a.get("b", "64")));
     copts.pads = parse_u32_list("--pads", a.get("pads", a.get("pad", "0")));
-    copts.layout = shape.layout;
-    copts.e_min = shape.e_min;
-    copts.e_max = shape.e_max;
-    copts.ways = shape.ways;
-    copts.digit_bits = shape.digit_bits;
-    copts.any_e = shape.any_e;
-    copts.json = shape.json;
     const std::vector<std::string> engines = engine_list(a);
     bool all_certified = true;
     for (const auto& name : engines) {
@@ -592,17 +544,6 @@ int cmd_prove(const Args& a) {
     throw parse_error("--bs/--pads are grid axes of certification mode "
                       "(add --certify, or use scalar --b/--pad)");
   }
-  analyze::symbolic::ProveOptions opts;
-  opts.w = shape.w;
-  opts.b = shape.b;
-  opts.pad = shape.pad;
-  opts.layout = shape.layout;
-  opts.e_min = shape.e_min;
-  opts.e_max = shape.e_max;
-  opts.ways = shape.ways;
-  opts.digit_bits = shape.digit_bits;
-  opts.any_e = shape.any_e;
-  opts.json = shape.json;
   const auto report = analyze::symbolic::prove(engine_list(a), opts);
   if (opts.json) {
     analyze::symbolic::render_json(std::cout, report);
@@ -620,25 +561,17 @@ int cmd_verify(const Args& a) {
   // E defaults deliberately exceed the conflict prover's E < w domain:
   // the def-use and barrier passes are universal over the whole range,
   // the conflict-bound pass clamps itself to the model's regime.
-  const SymbolicShapeFlags shape = symbolic_shape_flags(a, 1, 256);
+  read_shape_flags(a, opts);
   opts.ws = parse_u32_list("--ws", a.get("ws", "2,4,8,16,32,64"));
   for (const u32 w : opts.ws) {
     if (w < 1) {
       throw parse_error("--ws values must be >= 1");
     }
   }
-  opts.b = shape.b;
-  opts.pad = shape.pad;
-  opts.layout = shape.layout;
-  opts.e_min = shape.e_min;
-  opts.e_max = shape.e_max;
-  opts.ways = shape.ways;
-  opts.digit_bits = shape.digit_bits;
   // verify defaults to every E (the static claims are universal); --odd-E
   // restricts to the paper's odd-E congruence like prove's default.
   opts.any_e = !a.flag("odd-E");
   opts.differential = !a.flag("no-differential");
-  opts.json = shape.json;
   if (opts.e_min < 1 || opts.e_min > opts.e_max) {
     throw parse_error("verify needs 1 <= --E-min <= --E-max");
   }
@@ -925,9 +858,6 @@ int cmd_profile(int argc, char** argv) {
           "profile needs a subcommand to wrap, or --engine with "
           "--adversarial small-E|large-E (see wcmgen --help)");
     }
-    parse_choice<int>("--engine", engine,
-                      {{"pairwise", 0}, {"multiway", 1}, {"bitonic", 2},
-                       {"radix", 3}, {"shearsort", 4}});
     const bool small_e = parse_choice<bool>(
         "--adversarial", a.get("adversarial", "large-E"),
         {{"small-E", true}, {"large-E", false}});

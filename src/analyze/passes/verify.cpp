@@ -12,13 +12,9 @@
 #include "core/warp_construction.hpp"
 #include "gpusim/device.hpp"
 #include "gpusim/trace.hpp"
-#include "sort/bitonic.hpp"
 #include "sort/cpu_reference.hpp"
 #include "sort/describe.hpp"
-#include "sort/multiway.hpp"
-#include "sort/pairwise_sort.hpp"
-#include "sort/radix.hpp"
-#include "sort/shearsort.hpp"
+#include "sort/registry.hpp"
 #include "telemetry/registry.hpp"
 #include "util/check.hpp"
 #include "util/hash.hpp"
@@ -28,15 +24,6 @@
 namespace wcm::analyze::passes {
 
 namespace {
-
-std::string render_hex(u64 v) {
-  std::ostringstream os;
-  os << std::hex;
-  os.width(16);
-  os.fill('0');
-  os << v;
-  return os.str();
-}
 
 const char* regime_name(core::ERegime r) {
   switch (r) {
@@ -58,15 +45,8 @@ ShapeVerdict verify_shape(const PassManager& pm, const std::string& engine,
                           u32 w, const VerifyOptions& opts) {
   PassContext ctx;
   ctx.engine = engine;
+  ctx.opts = opts;
   ctx.opts.w = w;
-  ctx.opts.b = opts.b;
-  ctx.opts.pad = opts.pad;
-  ctx.opts.layout = opts.layout;
-  ctx.opts.e_min = opts.e_min;
-  ctx.opts.e_max = opts.e_max;
-  ctx.opts.ways = opts.ways;
-  ctx.opts.digit_bits = opts.digit_bits;
-  ctx.opts.any_e = opts.any_e;
   ctx.desc = symbolic::describe_engine(engine, ctx.opts);
   pm.run(ctx);
 
@@ -161,40 +141,29 @@ std::vector<BreakdownRow> sweep_breakdown(const VerifyOptions& opts) {
 
 /// Run one engine end to end at a concrete cell and count replayed steps
 /// that exceed the statically derived bounds.
-DifferentialCell run_differential_cell(const std::string& engine, u32 w,
+DifferentialCell run_differential_cell(const sort::EngineInfo& engine, u32 w,
                                        u32 E, gpusim::LayoutKind layout) {
   constexpr u32 kB = 8;
-  constexpr u32 kWays = 2;
-  constexpr u32 kDigitBits = 1;
+  sort::EngineParams params;
+  params.ways = 2;
+  params.digit_bits = 1;
 
   DifferentialCell cell;
-  cell.engine = engine;
+  cell.engine = engine.name;
   cell.w = w;
   cell.E = E;
   cell.layout = layout;
 
-  const auto dev = gpusim::synthetic_device(w);
   sort::SortConfig cfg{E, kB, w};
   cfg.layout = layout;
-  cfg.validate();
   gpusim::TraceRecorder rec;
   cfg.trace_sink = &rec;
 
   const std::size_t n = cfg.tile() * 2;
   const auto input = workload::random_permutation(n, 7 + E + w);
   std::vector<dmm::word> out;
-  if (engine == "pairwise") {
-    (void)sort::pairwise_merge_sort(input, cfg, dev,
-                                    sort::MergeSortLibrary::thrust, &out);
-  } else if (engine == "multiway") {
-    (void)sort::multiway_merge_sort(input, cfg, dev, kWays, &out);
-  } else if (engine == "radix") {
-    (void)sort::radix_sort(input, cfg, dev, kDigitBits, &out);
-  } else if (engine == "bitonic") {
-    (void)sort::bitonic_sort(input, cfg, dev, &out);
-  } else if (engine == "shearsort") {
-    (void)sort::shearsort(input, cfg, dev, &out);
-  }
+  (void)sort::launch(engine, input, cfg, gpusim::synthetic_device(w), params,
+                     &out);
   if (out != sort::std_sort(input)) {
     cell.violations = 1;
     cell.ok = false;
@@ -208,10 +177,10 @@ DifferentialCell run_differential_cell(const std::string& engine, u32 w,
   popts.layout = layout;
   popts.e_min = E;
   popts.e_max = E;
-  popts.ways = kWays;
-  popts.digit_bits = kDigitBits;
+  popts.ways = params.ways;
+  popts.digit_bits = params.digit_bits;
   const symbolic::EngineReport bounds =
-      symbolic::prove_engine(engine, popts);
+      symbolic::prove_engine(engine.name, popts);
   cell.max_read_bound = bounds.max_read_bound;
   cell.max_write_bound = bounds.max_write_bound;
   cell.violations = symbolic::certify_trace(rec.take(), bounds).size();
@@ -219,7 +188,7 @@ DifferentialCell run_differential_cell(const std::string& engine, u32 w,
   if (telemetry::enabled()) {
     telemetry::registry()
         .counter("analyze.verify.differential",
-                 {{"engine", engine}, {"ok", cell.ok ? "1" : "0"}})
+                 {{"engine", engine.name}, {"ok", cell.ok ? "1" : "0"}})
         .add(1);
   }
   return cell;
@@ -227,17 +196,17 @@ DifferentialCell run_differential_cell(const std::string& engine, u32 w,
 
 std::vector<DifferentialCell> run_differential(
     const std::vector<std::string>& engines, const VerifyOptions& opts) {
-  // The runnable subset (scan/blocksort/block-merge are exercised inside
+  // The runnable engines (scan/blocksort/block-merge are exercised inside
   // pairwise) on a grid small enough for CI but wide enough to cross the
   // coprime boundary: both layouts, both non-trivial warp widths, E values
   // hitting gcd(w, E) = 1, 2 and 4.
-  static const char* kRunnable[] = {"pairwise", "multiway", "radix",
-                                    "bitonic", "shearsort"};
   const gpusim::LayoutKind layouts[] = {gpusim::LayoutKind::linear,
                                         gpusim::LayoutKind::rotation};
   std::vector<DifferentialCell> cells;
-  for (const char* engine : kRunnable) {
-    if (std::find(engines.begin(), engines.end(), engine) == engines.end()) {
+  for (const sort::EngineInfo& engine : sort::engines()) {
+    if (engine.run == nullptr ||
+        std::find(engines.begin(), engines.end(), engine.name) ==
+            engines.end()) {
       continue;
     }
     for (const u32 w : {2u, 4u}) {
@@ -245,8 +214,8 @@ std::vector<DifferentialCell> run_differential(
         continue;
       }
       for (const u32 E : {1u, 2u, 3u, 5u}) {
-        if (std::string_view(engine) == "bitonic" && E != 2) {
-          continue;  // the bitonic engine is specified at E = 2 only
+        if (engine.fixed_E != 0 && E != engine.fixed_E) {
+          continue;  // launch() would rerun the fixed-E cell
         }
         for (const auto layout : layouts) {
           cells.push_back(run_differential_cell(engine, w, E, layout));
@@ -327,19 +296,25 @@ VerifyReport run_verify(const std::vector<std::string>& engines,
   report.opts = opts;
   const PassManager pm = PassManager::standard();
 
-  for (const std::string& engine : engines) {
+  for (const std::string& name : engines) {
+    const sort::EngineInfo& engine = sort::find_engine(name);
+    const char* why = nullptr;  // the first excluded width's reason
+    bool fitted = false;
     for (const u32 w : opts.ws) {
-      if (opts.b < w) {
-        report.skipped.push_back(engine + "@w=" + std::to_string(w) +
-                                 ": block smaller than the warp");
+      // Widths the engine's shape excludes are skipped, not failed: the
+      // sweep spans widths no single block size fits.
+      if (const char* skip = sort::shape_error(engine, w, opts.b)) {
+        report.skipped.push_back(name + "@w=" + std::to_string(w) + ": " +
+                                 skip);
+        why = why != nullptr ? why : skip;
         continue;
       }
-      if (engine == "shearsort" && opts.b % w != 0) {
-        report.skipped.push_back(engine + "@w=" + std::to_string(w) +
-                                 ": block not a multiple of the warp");
-        continue;
-      }
-      report.shapes.push_back(verify_shape(pm, engine, w, opts));
+      report.shapes.push_back(verify_shape(pm, name, w, opts));
+      fitted = true;
+    }
+    if (!fitted && why != nullptr) {
+      throw config_error(name + ": fits none of the requested widths (" +
+                         why + ", b=" + std::to_string(opts.b) + ")");
     }
   }
 
@@ -401,12 +376,12 @@ void render_text(std::ostream& os, const VerifyReport& report) {
   }
   os << (report.proved && report.differential_ok ? "verified"
                                                  : "NOT verified")
-     << " [digest fnv1a:" << render_hex(report.digest) << "]\n";
+     << " [digest fnv1a:" << digest_hex(report.digest) << "]\n";
 }
 
 void render_json(std::ostream& os, const VerifyReport& report) {
   os << json_body(report) << ",\"digest\":\"fnv1a:"
-     << render_hex(report.digest) << "\"}\n";
+     << digest_hex(report.digest) << "\"}\n";
 }
 
 }  // namespace wcm::analyze::passes

@@ -29,18 +29,17 @@
 
 namespace wcm::analyze::passes {
 
-struct VerifyOptions {
+/// The prover's shape and engine parameters with the warp widths ws in
+/// place of the scalar w (which the sweep ignores), defaulting to every E
+/// in [1, 256] rather than the prover's odd E < w.
+struct VerifyOptions : symbolic::ProveOptions {
+  VerifyOptions() {
+    e_min = 1;
+    e_max = 256;
+    any_e = true;
+  }
   std::vector<u32> ws = {2, 4, 8, 16, 32, 64};  ///< warp widths to sweep
-  u32 b = 64;
-  u32 pad = 0;
-  gpusim::LayoutKind layout = gpusim::LayoutKind::linear;
-  u32 e_min = 1;
-  u32 e_max = 256;
-  u32 ways = 4;        ///< multiway fan-in
-  u32 digit_bits = 4;  ///< radix digit width
-  bool any_e = true;   ///< verify every E, not only the odd ones
   bool differential = true;
-  bool json = false;
 };
 
 /// One (engine, w) shape's verdicts from the three passes.
@@ -94,9 +93,11 @@ struct VerifyReport {
   u64 digest = 0;                ///< fnv1a over the rendered JSON body
 };
 
-/// Run the pipeline.  Throws wcm::parse_error on an unknown engine name;
-/// propagates the typed error of an injected pass failure unchanged (no
-/// partial report survives a mid-pipeline fault).
+/// Run the pipeline.  Throws wcm::parse_error on an unknown engine name and
+/// wcm::config_error on an engine parameter out of range or an engine that
+/// fits none of the widths (sort/registry.hpp's shape rules); propagates
+/// the typed error of an injected pass failure unchanged (no partial report
+/// survives a mid-pipeline fault).
 [[nodiscard]] VerifyReport run_verify(const std::vector<std::string>& engines,
                                       const VerifyOptions& opts);
 

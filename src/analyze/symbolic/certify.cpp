@@ -7,6 +7,7 @@
 
 #include "util/check.hpp"
 #include "util/hash.hpp"
+#include "util/json.hpp"
 
 namespace wcm::analyze::symbolic {
 
@@ -155,36 +156,6 @@ void append_counterexample(std::vector<CertCounterexample>& out,
   out.push_back(std::move(ce));
 }
 
-void json_escape_into(std::ostream& os, const std::string& s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        os << "\\\"";
-        break;
-      case '\\':
-        os << "\\\\";
-        break;
-      case '\n':
-        os << "\\n";
-        break;
-      case '\t':
-        os << "\\t";
-        break;
-      default:
-        os << c;
-    }
-  }
-}
-
-std::string render_hex(u64 v) {
-  std::ostringstream os;
-  os << std::hex;
-  os.width(16);
-  os.fill('0');
-  os << v;
-  return os.str();
-}
-
 /// Deterministic JSON body (integers and strings only), hashed into the
 /// certificate digest; the digest field itself is appended by render_json.
 std::string json_body(const Certificate& cert) {
@@ -214,14 +185,14 @@ std::string json_body(const Certificate& cert) {
       }
       first = false;
       os << "{\"name\":\"";
-      json_escape_into(os, gr.name);
+      json::write_escaped(os, gr.name);
       os << "\",\"kind\":\"" << gr.kind
          << "\",\"theorem_site\":" << (gr.theorem_site ? 1 : 0)
          << ",\"method\":\"" << gr.bound.method
          << "\",\"degree\":" << gr.bound.degree
          << ",\"free\":" << (gr.bound.free ? 1 : 0)
          << ",\"exact\":" << (gr.bound.exact ? 1 : 0) << ",\"detail\":\"";
-      json_escape_into(os, gr.bound.detail);
+      json::write_escaped(os, gr.bound.detail);
       os << "\"}";
     }
     os << "]}";
@@ -233,16 +204,16 @@ std::string json_body(const Certificate& cert) {
       os << ',';
     }
     os << "{\"b\":" << ce.b << ",\"pad\":" << ce.pad << ",\"group\":\"";
-    json_escape_into(os, ce.group);
+    json::write_escaped(os, ce.group);
     os << "\",\"kind\":\"" << ce.kind << "\",\"pattern\":\"";
-    json_escape_into(os, ce.pattern);
+    json::write_escaped(os, ce.pattern);
     os << "\",\"valuation\":[";
     for (std::size_t v = 0; v < ce.valuation.size(); ++v) {
       if (v > 0) {
         os << ',';
       }
       os << "{\"sym\":\"";
-      json_escape_into(os, ce.valuation[v].first);
+      json::write_escaped(os, ce.valuation[v].first);
       os << "\",\"value\":" << ce.valuation[v].second << "}";
     }
     os << "],\"addresses\":[";
@@ -278,16 +249,9 @@ Certificate certify_engine(const std::string& engine,
 
   for (const u32 b : opts.bs) {
     for (const u32 pad : opts.pads) {
-      ProveOptions popts;
-      popts.w = opts.w;
+      ProveOptions popts = opts;
       popts.b = b;
       popts.pad = pad;
-      popts.layout = opts.layout;
-      popts.e_min = opts.e_min;
-      popts.e_max = opts.e_max;
-      popts.ways = opts.ways;
-      popts.digit_bits = opts.digit_bits;
-      popts.any_e = opts.any_e;
       cert.e_max = popts.effective_e_max();
 
       CertCell cell;
@@ -357,11 +321,11 @@ void render_text(std::ostream& os, const Certificate& cert) {
     os << "\n";
   }
   os << "verdict: " << (cert.certified ? "certified" : "refuted")
-     << " [digest fnv1a:" << render_hex(cert.digest) << "]\n";
+     << " [digest fnv1a:" << digest_hex(cert.digest) << "]\n";
 }
 
 void render_json(std::ostream& os, const Certificate& cert) {
-  os << json_body(cert) << ",\"digest\":\"fnv1a:" << render_hex(cert.digest)
+  os << json_body(cert) << ",\"digest\":\"fnv1a:" << digest_hex(cert.digest)
      << "\"}\n";
 }
 

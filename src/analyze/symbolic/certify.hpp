@@ -23,17 +23,11 @@
 
 namespace wcm::analyze::symbolic {
 
-struct CertifyOptions {
-  u32 w = 32;
+/// The prover's shape and engine parameters, with the grid axes bs / pads
+/// in place of the scalar b / pad (which certification ignores).
+struct CertifyOptions : ProveOptions {
   std::vector<u32> bs = {64};    ///< block sizes to certify (grid axis)
   std::vector<u32> pads = {0};   ///< padding values to certify (grid axis)
-  gpusim::LayoutKind layout = gpusim::LayoutKind::linear;
-  u32 e_min = 3;
-  u32 e_max = 0;  ///< 0: defaults to w - 1
-  u32 ways = 4;
-  u32 digit_bits = 4;
-  bool any_e = false;
-  bool json = false;
 };
 
 /// One refutation: a concrete valuation and lane-address witness for a

@@ -5,72 +5,29 @@
 #include <ostream>
 #include <sstream>
 
-#include "sort/describe.hpp"
+#include "sort/registry.hpp"
 #include "util/check.hpp"
 #include "util/error.hpp"
 #include "util/hash.hpp"
+#include "util/json.hpp"
 
 namespace wcm::analyze::symbolic {
 
 namespace ir = gpusim::ir;
 
-namespace {
-
-/// The describer registry: one row per provable engine.  all_engines(),
-/// describe_engine()'s dispatch, and the unknown-engine diagnostic all read
-/// this table, so registering a describer here is the single step that
-/// surfaces it everywhere.
-struct EngineEntry {
-  const char* name;
-  ir::KernelDesc (*describe)(const ProveOptions& opts);
-};
-
-constexpr EngineEntry kEngineRegistry[] = {
-    {"blocksort",
-     [](const ProveOptions& o) {
-       return sort::describe_blocksort(o.w, o.b, o.pad);
-     }},
-    {"block-merge",
-     [](const ProveOptions& o) {
-       return sort::describe_block_merge(o.w, o.b, o.pad);
-     }},
-    {"pairwise",
-     [](const ProveOptions& o) {
-       return sort::describe_pairwise(o.w, o.b, o.pad);
-     }},
-    {"multiway",
-     [](const ProveOptions& o) {
-       return sort::describe_multiway(o.w, o.b, o.pad, o.ways);
-     }},
-    {"bitonic",
-     [](const ProveOptions& o) {
-       return sort::describe_bitonic(o.w, o.b, o.pad);
-     }},
-    {"radix",
-     [](const ProveOptions& o) {
-       return sort::describe_radix(o.w, o.b, o.pad, o.digit_bits);
-     }},
-    {"scan",
-     [](const ProveOptions& o) {
-       return sort::describe_block_scan(o.w, o.b, o.pad);
-     }},
-    {"shearsort",
-     [](const ProveOptions& o) {
-       return sort::describe_shearsort(o.w, o.b, o.pad);
-     }},
-};
-
-}  // namespace
-
 const std::vector<std::string>& all_engines() {
   static const std::vector<std::string> kEngines = [] {
     std::vector<std::string> names;
-    for (const EngineEntry& e : kEngineRegistry) {
+    for (const sort::EngineInfo& e : sort::engines()) {
       names.emplace_back(e.name);
     }
     return names;
   }();
   return kEngines;
+}
+
+std::vector<std::string> engines_named(const std::string& name) {
+  return name == "all" ? all_engines() : std::vector<std::string>{name};
 }
 
 namespace {
@@ -84,8 +41,8 @@ void apply_e_range(ir::KernelDesc& desc, const ProveOptions& opts) {
   }
   ir::Symbol& sym = desc.symbols[static_cast<std::size_t>(e)];
   const u32 e_max = opts.effective_e_max();
-  WCM_EXPECTS(opts.e_min >= 1 && opts.e_min <= e_max,
-              "need 1 <= E-min <= E-max");
+  WCM_CHECK_CONFIG(opts.e_min >= 1 && opts.e_min <= e_max,
+                   "need 1 <= E-min <= E-max");
   sym.lo = opts.e_min;
   sym.hi = e_max;
   if (opts.e_min == e_max) {
@@ -97,8 +54,8 @@ void apply_e_range(ir::KernelDesc& desc, const ProveOptions& opts) {
   } else {
     sym.mod = 2;
     sym.rem = 1;
-    WCM_EXPECTS(opts.e_min % 2 == 1 || opts.e_min < e_max,
-                "empty odd E range");
+    WCM_CHECK_CONFIG(opts.e_min % 2 == 1 || opts.e_min < e_max,
+                     "empty odd E range");
   }
   const int s = desc.find_symbol("s");
   if (s >= 0) {
@@ -109,36 +66,6 @@ void apply_e_range(ir::KernelDesc& desc, const ProveOptions& opts) {
     ir::Symbol& inner = desc.symbols[static_cast<std::size_t>(s)];
     inner.hi = static_cast<i64>(e_max) - 1;
     inner.lo = 0;
-  }
-}
-
-std::string render_hex(u64 v) {
-  std::ostringstream os;
-  os << std::hex;
-  os.width(16);
-  os.fill('0');
-  os << v;
-  return os.str();
-}
-
-void json_escape_into(std::ostream& os, const std::string& s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        os << "\\\"";
-        break;
-      case '\\':
-        os << "\\\\";
-        break;
-      case '\n':
-        os << "\\n";
-        break;
-      case '\t':
-        os << "\\t";
-        break;
-      default:
-        os << c;
-    }
   }
 }
 
@@ -165,19 +92,19 @@ std::string json_body(const ProveReport& report) {
         os << ',';
       }
       os << "{\"name\":\"";
-      json_escape_into(os, gr.name);
+      json::write_escaped(os, gr.name);
       os << "\",\"kind\":\"" << gr.kind << "\",\"atomic\":"
          << (gr.atomic ? 1 : 0)
          << ",\"theorem_site\":" << (gr.theorem_site ? 1 : 0)
          << ",\"pattern\":\"";
-      json_escape_into(os, gr.pattern);
+      json::write_escaped(os, gr.pattern);
       os << "\",\"method\":\"" << gr.bound.method
          << "\",\"degree\":" << gr.bound.degree
          << ",\"free\":" << (gr.bound.free ? 1 : 0)
          << ",\"exact\":" << (gr.bound.exact ? 1 : 0) << ",\"detail\":\"";
-      json_escape_into(os, gr.bound.detail);
+      json::write_escaped(os, gr.bound.detail);
       os << "\",\"divergence\":\"";
-      json_escape_into(os, gr.bound.divergence);
+      json::write_escaped(os, gr.bound.divergence);
       os << "\"}";
     }
     os << "]}";
@@ -196,7 +123,7 @@ std::string json_body(const ProveReport& report) {
        << ",\"step_bound\":" << t.step_bound
        << ",\"max_step_degree\":" << t.max_step_degree
        << ",\"ok\":" << (t.ok ? 1 : 0) << ",\"note\":\"";
-    json_escape_into(os, t.note);
+    json::write_escaped(os, t.note);
     os << "\"}";
   }
   os << "],\"findings\":[";
@@ -214,24 +141,21 @@ std::string json_body(const ProveReport& report) {
 
 ir::KernelDesc describe_engine(const std::string& name,
                                const ProveOptions& opts) {
-  for (const EngineEntry& entry : kEngineRegistry) {
-    if (name == entry.name) {
-      ir::KernelDesc desc = entry.describe(opts);
-      // The bank permutation is a property of the machine the engine is
-      // proved on, not of the describer: apply it centrally so every
-      // registered engine is provable under every layout.
-      desc.layout = opts.layout;
-      apply_e_range(desc, opts);
-      return desc;
-    }
-  }
-  std::string valid;
-  for (const std::string& n : all_engines()) {
-    valid += n;
-    valid += ", ";
-  }
-  throw parse_error("unknown engine '" + name + "' (valid: " + valid +
-                    "all)");
+  const sort::EngineInfo& engine = sort::find_engine(name);
+  sort::EngineParams params;
+  params.ways = opts.ways;
+  params.digit_bits = opts.digit_bits;
+  sort::SortConfig shape;
+  shape.w = opts.w;
+  shape.b = opts.b;
+  sort::check(engine, shape, params);
+  ir::KernelDesc desc = engine.describe(opts.w, opts.b, opts.pad, params);
+  // The bank permutation is a property of the machine the engine is
+  // proved on, not of the describer: apply it centrally so every
+  // registered engine is provable under every layout.
+  desc.layout = opts.layout;
+  apply_e_range(desc, opts);
+  return desc;
 }
 
 EngineReport prove_engine(const std::string& name, const ProveOptions& opts) {
@@ -359,12 +283,12 @@ void render_text(std::ostream& os, const ProveReport& report) {
   os << (report.findings.empty() ? "clean" : "findings: ")
      << (report.findings.empty() ? std::string()
                                  : std::to_string(report.findings.size()))
-     << " [digest fnv1a:" << render_hex(report.digest) << "]\n";
+     << " [digest fnv1a:" << digest_hex(report.digest) << "]\n";
 }
 
 void render_json(std::ostream& os, const ProveReport& report) {
   os << json_body(report) << ",\"digest\":\"fnv1a:"
-     << render_hex(report.digest) << "\"}\n";
+     << digest_hex(report.digest) << "\"}\n";
 }
 
 void append_findings(ProveReport& report, std::vector<Diagnostic> findings) {

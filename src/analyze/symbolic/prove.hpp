@@ -76,12 +76,18 @@ struct ProveReport {
   u64 digest = 0;  ///< fnv1a over the rendered JSON body
 };
 
-/// The canonical engine list (`--engine all`), derived from the describer
-/// registry — the single source the unknown-engine diagnostic and the CLI
-/// choices quote, so it cannot go stale against the registered describers.
+/// The canonical engine list (`--engine all`): the names of
+/// sort/registry.hpp's table, in its order.
 [[nodiscard]] const std::vector<std::string>& all_engines();
 
-/// Lift one engine into the IR with the options' E range applied.
+/// The engines an `--engine` / wire `engine` value selects: all_engines()
+/// for "all", else the one name (resolved later, so unknown names still
+/// throw wcm::parse_error).
+[[nodiscard]] std::vector<std::string> engines_named(const std::string& name);
+
+/// Lift one engine into the IR with the options' E range applied.  Throws
+/// wcm::parse_error on an unknown engine name and wcm::config_error on a
+/// shape, parameter or E range the engine cannot take.
 [[nodiscard]] gpusim::ir::KernelDesc describe_engine(const std::string& name,
                                                      const ProveOptions& opts);
 
@@ -90,8 +96,7 @@ struct ProveReport {
                                         const ProveOptions& opts);
 
 /// Prove a set of engines, run the theorem instances over the co-prime E
-/// in range, and collect findings.  Throws wcm::parse_error on an unknown
-/// engine name or an invalid shape.
+/// in range, and collect findings.  Throws like describe_engine().
 [[nodiscard]] ProveReport prove(const std::vector<std::string>& engines,
                                 const ProveOptions& opts);
 

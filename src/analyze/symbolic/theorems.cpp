@@ -120,7 +120,8 @@ TheoremInstance check_theorem(u32 w, u32 E) {
 }
 
 std::vector<TheoremInstance> check_theorems(u32 w, u32 e_min, u32 e_max) {
-  WCM_EXPECTS(w >= 8 && is_pow2(w), "warp width must be a power of two >= 8");
+  WCM_CHECK_CONFIG(w >= 8 && is_pow2(w),
+                   "the theorem instances need a power-of-two warp >= 8");
   std::vector<TheoremInstance> out;
   const u32 lo = std::max<u32>(3, e_min);
   const u32 hi = std::min<u32>(e_max, w - 1);

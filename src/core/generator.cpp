@@ -98,16 +98,21 @@ void place(GeneratorState& g, std::vector<dmm::word> values, std::size_t base,
 
 }  // namespace
 
+void check_worst_case_shape(std::size_t n, const sort::SortConfig& cfg) {
+  cfg.validate();
+  WCM_CHECK_CONFIG(is_pow2(cfg.w), "worst-case input needs a power-of-two w");
+  const ERegime regime = classify_e(cfg.w, cfg.E);
+  WCM_CHECK_CONFIG(regime == ERegime::small || regime == ERegime::large,
+                   "worst-case input needs gcd(w, E) == 1 and 3 <= E < w");
+  const std::size_t tile = cfg.tile();
+  WCM_CHECK_CONFIG(n >= 2 * tile && n % tile == 0 && is_pow2(n / tile),
+                   "worst-case input needs n = bE * 2^k with k >= 1");
+}
+
 std::vector<dmm::word> worst_case_input(std::size_t n,
                                         const sort::SortConfig& cfg,
                                         const AttackOptions& opts) {
-  cfg.validate();
-  const ERegime regime = classify_e(cfg.w, cfg.E);
-  WCM_EXPECTS(regime == ERegime::small || regime == ERegime::large,
-              "worst-case input needs gcd(w, E) == 1 and 3 <= E < w");
-  const std::size_t tile = cfg.tile();
-  WCM_EXPECTS(n >= 2 * tile && n % tile == 0 && is_pow2(n / tile),
-              "n must be bE * 2^k with k >= 1");
+  check_worst_case_shape(n, cfg);
 
   GeneratorState g;
   g.cfg = &cfg;

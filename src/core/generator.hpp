@@ -46,9 +46,13 @@ struct AttackOptions {
   std::size_t max_attacked_rounds = static_cast<std::size_t>(-1);
 };
 
+/// Throws wcm::config_error unless the generator can build an n-key
+/// worst case for cfg: n = bE * 2^k with k >= 1, and a co-prime E < w with
+/// E >= 3 (the small-E / large-E regimes).
+void check_worst_case_shape(std::size_t n, const sort::SortConfig& cfg);
+
 /// Generate the worst-case input permutation of {0, .., n-1} for the given
-/// sort configuration.  Requires n = bE * 2^k, k >= 1, and a co-prime
-/// E < w with E >= 3.
+/// sort configuration.  Throws like check_worst_case_shape().
 [[nodiscard]] std::vector<dmm::word> worst_case_input(
     std::size_t n, const sort::SortConfig& cfg, const AttackOptions& opts = {});
 

@@ -10,6 +10,7 @@
 
 #include <optional>
 
+#include "core/generator.hpp"
 #include "gpusim/occupancy.hpp"
 #include "gpusim/trace.hpp"
 #include "runtime/journal.hpp"
@@ -17,9 +18,6 @@
 #include "runtime/thread_pool.hpp"
 #include "telemetry/span.hpp"
 #include "telemetry/stopwatch.hpp"
-#include "sort/bitonic.hpp"
-#include "sort/multiway.hpp"
-#include "sort/radix.hpp"
 #include "util/check.hpp"
 #include "util/failpoint.hpp"
 #include "util/json.hpp"
@@ -68,19 +66,19 @@ T choice(const std::string& field, const std::string& value,
                     field + "' (valid: " + names + ")");
 }
 
-Engine engine_from(const std::string& s) {
-  return choice<Engine>("engine", s,
-                        {{"pairwise", Engine::pairwise},
-                         {"multiway", Engine::multiway},
-                         {"bitonic", Engine::bitonic},
-                         {"radix", Engine::radix}});
-}
-
 sort::MergeSortLibrary library_from(const std::string& s) {
   return choice<sort::MergeSortLibrary>(
       "library", s,
       {{"thrust", sort::MergeSortLibrary::thrust},
        {"mgpu", sort::MergeSortLibrary::mgpu}});
+}
+
+const char* library_name(sort::MergeSortLibrary lib) {
+  return lib == sort::MergeSortLibrary::thrust ? "thrust" : "mgpu";
+}
+
+sort::EngineParams params_of(const CampaignCell& cell) {
+  return {cell.library, cell.ways, cell.digit_bits};
 }
 
 workload::InputKind input_from(const std::string& s) {
@@ -157,7 +155,7 @@ GridEntry entry_from(const json::Value& v) {
                       "grid entry");
   GridEntry e;
   if (auto it = obj.find("engine"); it != obj.end()) {
-    e.engine = engine_from(it->second.as_string());
+    e.engine = sort::find_runnable(it->second.as_string()).id;
   }
   if (auto it = obj.find("library"); it != obj.end()) {
     e.library = library_from(it->second.as_string());
@@ -181,23 +179,20 @@ GridEntry entry_from(const json::Value& v) {
     e.k = u32_list(it->second, "k", kMaxK);
   }
   if (auto it = obj.find("ways"); it != obj.end()) {
-    e.ways = static_cast<u32>(it->second.as_u64(64));
+    e.ways = static_cast<u32>(it->second.as_u64(1u << 16));
   }
   if (auto it = obj.find("digit_bits"); it != obj.end()) {
-    e.digit_bits = static_cast<u32>(it->second.as_u64(16));
+    e.digit_bits = static_cast<u32>(it->second.as_u64(1u << 16));
+  }
+  // The engine's parameter range is a field-value rule like any other: a
+  // bad one rejects the spec instead of quarantining its cells at run time.
+  const std::string why = sort::param_error(sort::engine_info(e.engine),
+                                            {e.library, e.ways, e.digit_bits});
+  if (!why.empty()) {
+    throw parse_error("campaign grid entry for engine '" +
+                      std::string(to_string(e.engine)) + "': " + why);
   }
   return e;
-}
-
-/// The configuration the cell's engine actually launches: bitonic always
-/// runs with E = 2 on a power-of-two prefix (same transformation as
-/// `wcmgen sort --algorithm bitonic`).
-sort::SortConfig effective_config(const CampaignCell& cell) {
-  sort::SortConfig cfg = cell.config;
-  if (cell.engine == Engine::bitonic) {
-    cfg.E = 2;
-  }
-  return cfg;
 }
 
 CellMetrics metrics_of(const sort::SortReport& report) {
@@ -221,49 +216,23 @@ CellMetrics compute_cell(const CampaignCell& cell, const gpusim::Device& dev,
       workload::make_input(cell.input, cell.n, cell.config, cell.seed);
   sort::SortConfig cfg = cell.config;
   cfg.trace_sink = recorder;
-  sort::SortReport report;
-  switch (cell.engine) {
-    case Engine::pairwise:
-      report = sort::pairwise_merge_sort(input, cfg, dev, cell.library);
-      break;
-    case Engine::multiway:
-      report = sort::multiway_merge_sort(input, cfg, dev, cell.ways);
-      break;
-    case Engine::radix:
-      report = sort::radix_sort(input, cfg, dev, cell.digit_bits);
-      break;
-    case Engine::bitonic: {
-      sort::SortConfig bcfg = effective_config(cell);
-      bcfg.trace_sink = recorder;
-      std::size_t n2 = 1;
-      while (n2 * 2 <= cell.n) {
-        n2 *= 2;
-      }
-      report = sort::bitonic_sort(
-          std::vector<dmm::word>(
-              input.begin(),
-              input.begin() + static_cast<std::ptrdiff_t>(n2)),
-          bcfg, dev);
-      break;
-    }
-  }
-  return metrics_of(report);
+  return metrics_of(sort::launch(sort::engine_info(cell.engine), input, cfg,
+                                 dev, params_of(cell)));
 }
 
 /// Base label shared by every size of one curve (everything but input/k).
 std::string base_label(const CampaignCell& cell) {
   std::ostringstream os;
   os << to_string(cell.engine);
-  if (cell.engine == Engine::pairwise) {
-    os << '/'
-       << (cell.library == sort::MergeSortLibrary::thrust ? "thrust" : "mgpu");
+  if (sort::engine_info(cell.engine).param.is("library")) {
+    os << '/' << library_name(cell.library);
   }
   os << " E=" << cell.config.E << " b=" << cell.config.b
      << " w=" << cell.config.w << " pad=" << cell.config.padding;
-  if (cell.engine == Engine::multiway) {
+  if (cell.ways != 0) {
     os << " ways=" << cell.ways;
   }
-  if (cell.engine == Engine::radix) {
+  if (cell.digit_bits != 0) {
     os << " bits=" << cell.digit_bits;
   }
   return os.str();
@@ -294,10 +263,8 @@ void write_aggregate_json(std::ostream& os, const CampaignSpec& spec,
     }
     first_cell = false;
     os << "{\"engine\":\"" << to_string(r.cell.engine) << "\""
-       << ",\"library\":\""
-       << (r.cell.library == sort::MergeSortLibrary::thrust ? "thrust"
-                                                            : "mgpu")
-       << "\"" << ",\"E\":" << r.cell.config.E << ",\"b\":" << r.cell.config.b
+       << ",\"library\":\"" << library_name(r.cell.library) << "\""
+       << ",\"E\":" << r.cell.config.E << ",\"b\":" << r.cell.config.b
        << ",\"w\":" << r.cell.config.w
        << ",\"padding\":" << r.cell.config.padding << ",\"input\":\""
        << workload::to_string(r.cell.input) << "\"" << ",\"k\":" << r.cell.k
@@ -407,17 +374,7 @@ void write_aggregate_json(std::ostream& os, const CampaignSpec& spec,
 }  // namespace
 
 const char* to_string(Engine engine) noexcept {
-  switch (engine) {
-    case Engine::pairwise:
-      return "pairwise";
-    case Engine::multiway:
-      return "multiway";
-    case Engine::bitonic:
-      return "bitonic";
-    case Engine::radix:
-      return "radix";
-  }
-  return "?";
+  return sort::engine_info(engine).name;
 }
 
 CampaignSpec parse_campaign_spec(const std::string& json_text) {
@@ -478,6 +435,7 @@ std::vector<CampaignCell> expand(const CampaignSpec& spec) {
   WCM_SPAN("campaign.expand");
   std::vector<CampaignCell> cells;
   for (const auto& entry : spec.grid) {
+    const sort::EngineInfo& engine = sort::engine_info(entry.engine);
     for (const u32 e : entry.E) {
       for (const u32 b : entry.b) {
         for (const u32 pad : entry.padding) {
@@ -495,12 +453,15 @@ std::vector<CampaignCell> expand(const CampaignSpec& spec) {
               cell.config.padding = pad;
               cell.input = input;
               cell.k = k;
-              cell.ways = entry.engine == Engine::multiway ? entry.ways : 0;
+              cell.ways = engine.param.is("ways") ? entry.ways : 0;
               cell.digit_bits =
-                  entry.engine == Engine::radix ? entry.digit_bits : 0;
+                  engine.param.is("digit_bits") ? entry.digit_bits : 0;
               cell.config.validate();
-              const auto launch = effective_config(cell);
-              launch.validate();
+              sort::check(engine, cell.config, params_of(cell));
+              WCM_CHECK_CONFIG(entry.w == spec.device.warp_size,
+                               "grid warp width w=" + std::to_string(entry.w) +
+                                   " does not match " + spec.device.name);
+              const auto launch = sort::launch_config(engine, cell.config);
               const auto occ = gpusim::occupancy(spec.device, launch.b,
                                                  launch.shared_bytes());
               WCM_CHECK_CONFIG(
@@ -509,14 +470,15 @@ std::vector<CampaignCell> expand(const CampaignSpec& spec) {
                       std::to_string(launch.E) + " b=" + std::to_string(b) +
                       " pad=" + std::to_string(pad));
               cell.n = cell.config.tile() << k;
+              if (input == workload::InputKind::worst_case) {
+                core::check_worst_case_shape(cell.n, cell.config);
+              }
 
               std::ostringstream canon;
               canon << "wcmc1|device=" << spec.device.name
-                    << "|engine=" << to_string(cell.engine) << "|lib="
-                    << (cell.library == sort::MergeSortLibrary::thrust
-                            ? "thrust"
-                            : "mgpu")
-                    << "|E=" << e << "|b=" << b << "|w=" << entry.w
+                    << "|engine=" << to_string(cell.engine)
+                    << "|lib=" << library_name(cell.library) << "|E=" << e
+                    << "|b=" << b << "|w=" << entry.w
                     << "|pad=" << pad << "|refills=0"
                     << "|input=" << workload::to_string(input) << "|k=" << k
                     << "|n=" << cell.n << "|ways=" << cell.ways
@@ -634,7 +596,8 @@ CampaignOutcome run_campaign(const CampaignSpec& spec,
   sort::SortConfig heavy;
   std::size_t heavy_bytes = 0;
   for (const auto& cell : cells) {
-    const auto launch = effective_config(cell);
+    const auto launch =
+        sort::launch_config(sort::engine_info(cell.engine), cell.config);
     if (launch.shared_bytes() >= heavy_bytes) {
       heavy_bytes = launch.shared_bytes();
       heavy = launch;

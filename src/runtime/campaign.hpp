@@ -23,14 +23,15 @@
 #include "analysis/experiment.hpp"
 #include "runtime/cache.hpp"
 #include "runtime/retry.hpp"
-#include "sort/pairwise_sort.hpp"
+#include "sort/registry.hpp"
 #include "workload/inputs.hpp"
 
 namespace wcm::runtime {
 
 class CancelSource;  // runtime/scheduler.hpp
 
-enum class Engine { pairwise, multiway, bitonic, radix };
+/// A campaign cell's engine: any runnable row of sort/registry.hpp.
+using Engine = sort::EngineId;
 
 [[nodiscard]] const char* to_string(Engine engine) noexcept;
 
@@ -63,7 +64,8 @@ struct CampaignSpec {
 };
 
 /// Parse a campaign spec document.  Throws wcm::parse_error on JSON syntax
-/// errors, unknown keys, or invalid field values.
+/// errors, unknown keys, or invalid field values — including an engine
+/// that cannot run and a `ways`/`digit_bits` outside the engine's range.
 [[nodiscard]] CampaignSpec parse_campaign_spec(const std::string& json_text);
 
 /// Read and parse a spec file.  Throws wcm::io_error for unreadable or
@@ -88,8 +90,9 @@ struct CampaignCell {
   std::string canonical;  ///< cache-key string (includes seed and device)
 };
 
-/// Expand the grid (validating every cell's SortConfig and its fit on the
-/// device — throws wcm::config_error otherwise).  Deterministic order:
+/// Expand the grid (validating every cell's SortConfig, its engine shape,
+/// its fit on the device and, for worst-case input, the generator's E
+/// regime — throws wcm::config_error otherwise).  Deterministic order:
 /// grid entries in spec order, then E, b, padding, input, k in list order.
 [[nodiscard]] std::vector<CampaignCell> expand(const CampaignSpec& spec);
 

@@ -99,11 +99,9 @@ std::string run_prove(const json::Object& p) {
   opts.digit_bits = static_cast<u32>(param_u64(p, "digit_bits", 4, u32_max));
   opts.any_e = param_bool(p, "any_E", false);
   opts.json = true;
-  const std::string engine = param_string(p, "engine", "all");
-  const std::vector<std::string> engines =
-      engine == "all" ? analyze::symbolic::all_engines()
-                      : std::vector<std::string>{engine};
-  const auto report = analyze::symbolic::prove(engines, opts);
+  const auto report = analyze::symbolic::prove(
+      analyze::symbolic::engines_named(param_string(p, "engine", "all")),
+      opts);
   std::ostringstream os;
   analyze::symbolic::render_json(os, report);
   return as_one_line(os.str());

@@ -8,6 +8,7 @@
 // invalidating caches and checksums.
 
 #include <cstddef>
+#include <string>
 #include <string_view>
 
 #include "util/math.hpp"
@@ -40,6 +41,16 @@ inline constexpr u64 fnv_prime = 1099511628211ULL;
 /// Hash one string from a fresh chain.
 [[nodiscard]] inline u64 fnv1a(std::string_view text) noexcept {
   return fnv1a(fnv_offset_basis, text);
+}
+
+/// A digest as 16 zero-padded lowercase hex digits, the form the sealed
+/// prove/certify/verify reports print after "fnv1a:".
+[[nodiscard]] inline std::string digest_hex(u64 v) {
+  std::string out(16, '0');
+  for (auto it = out.rbegin(); it != out.rend(); ++it, v >>= 4) {
+    *it = "0123456789abcdef"[v & 0xf];
+  }
+  return out;
 }
 
 }  // namespace wcm

@@ -318,6 +318,11 @@ Value parse(const std::string& text) { return Parser(text).run(); }
 
 void write_string(std::ostream& os, const std::string& s) {
   os << '"';
+  write_escaped(os, s);
+  os << '"';
+}
+
+void write_escaped(std::ostream& os, const std::string& s) {
   for (const char c : s) {
     switch (c) {
       case '"':
@@ -341,7 +346,6 @@ void write_string(std::ostream& os, const std::string& s) {
         os << (static_cast<unsigned char>(c) < 0x20 ? '?' : c);
     }
   }
-  os << '"';
 }
 
 namespace {

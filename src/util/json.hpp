@@ -93,4 +93,7 @@ void write(std::ostream& os, const Value& value);
 /// Escape and double-quote one string (the writer's string rule).
 void write_string(std::ostream& os, const std::string& s);
 
+/// write_string() without the quotes, for hand-built JSON bodies.
+void write_escaped(std::ostream& os, const std::string& s);
+
 }  // namespace wcm::json

@@ -114,6 +114,34 @@ file(WRITE ${WORKDIR}/bad_config.json
      [[{"grid": [{"engine": "pairwise", "E": 5, "b": 32, "w": 32}]}]])
 expect_exit(4 ${WCMGEN} campaign ${WORKDIR}/bad_config.json)
 
+# Engines, their parameters and their shapes come from sort/registry.hpp:
+# an engine that cannot run or a parameter outside its range is an invalid
+# field value (3); a shape the engine cannot take, or a worst-case E the
+# generator cannot build, is a bad configuration (4) caught by expansion —
+# before any cell runs, never as a quarantined cell (6).
+foreach(entry [["engine": "scan"]] [["engine": "multiway", "ways": 1]]
+        [["engine": "radix", "digit_bits": 0]])
+  file(WRITE ${WORKDIR}/bad_engine.json
+       "{\"grid\": [{${entry}, \"E\": 5, \"b\": 64, \"k\": [1]}]}")
+  expect_exit(3 ${WCMGEN} campaign ${WORKDIR}/bad_engine.json --no-cache)
+endforeach()
+foreach(entry [["engine": "shearsort", "E": 5, "w": 3]]
+        [["engine": "pairwise", "E": 4, "input": "worst-case"]])
+  file(WRITE ${WORKDIR}/bad_engine.json
+       "{\"grid\": [{${entry}, \"b\": 64, \"k\": [1]}]}")
+  expect_exit(4 ${WCMGEN} campaign ${WORKDIR}/bad_engine.json --no-cache)
+endforeach()
+# Every runnable engine runs in a campaign, shearsort included.
+file(WRITE ${WORKDIR}/shearsort.json
+     [[{"grid": [{"engine": "shearsort", "E": 5, "b": 64, "k": [1, 2],
+                  "input": ["random", "worst-case"]}]}]])
+expect_exit(0 ${WCMGEN} campaign ${WORKDIR}/shearsort.json --no-cache
+            --quiet --out ${WORKDIR}/shearsort_out.json)
+file(READ ${WORKDIR}/shearsort_out.json shearsort_out)
+if(NOT shearsort_out MATCHES "\"engine\":\"shearsort\"")
+  message(FATAL_ERROR "shearsort campaign has no shearsort cells:\n${shearsort_out}")
+endif()
+
 # 7. An injected worker fault on every attempt exhausts the retry budget
 #    and quarantines every cell: the campaign completes *degraded* -> 6
 #    (the pre-quarantine fail-fast behavior is opt-in via --fail-fast,
@@ -128,4 +156,6 @@ file(REMOVE_RECURSE ${traces})
 file(REMOVE ${spec} ${cache} ${spec}.wcmj ${WORKDIR}/ref.json ${WORKDIR}/par.json
      ${WORKDIR}/cold.json ${WORKDIR}/warm.json ${WORKDIR}/salted.json
      ${WORKDIR}/traced.json ${WORKDIR}/not_json.json
-     ${WORKDIR}/unknown_key.json ${WORKDIR}/bad_config.json)
+     ${WORKDIR}/unknown_key.json ${WORKDIR}/bad_config.json
+     ${WORKDIR}/bad_engine.json ${WORKDIR}/shearsort.json
+     ${WORKDIR}/shearsort.json.wcmj ${WORKDIR}/shearsort_out.json)

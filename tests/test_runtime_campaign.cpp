@@ -76,6 +76,23 @@ TEST(CampaignSpecParse, RejectsUnknownKeysAndValues) {
                parse_error);
 }
 
+TEST(CampaignSpecParse, RegistryRejectsEnginesAndParametersThatCannotRun) {
+  // Describe-only engines and parameters outside the engine's range are
+  // invalid field values: rejected with the spec, never quarantined.
+  for (const char* entry :
+       {R"({"engine": "scan"})", R"({"engine": "multiway", "ways": 1})",
+        R"({"engine": "radix", "digit_bits": 0})",
+        R"({"engine": "radix", "digit_bits": 17})"}) {
+    EXPECT_THROW((void)parse_campaign_spec(std::string(R"({"grid": [)") +
+                                           entry + "]}"),
+                 parse_error)
+        << entry;
+  }
+  // A parameter the engine does not read is not validated.
+  EXPECT_NO_THROW((void)parse_campaign_spec(
+      R"({"grid": [{"engine": "pairwise", "ways": 1}]})"));
+}
+
 TEST(CampaignSpecParse, LoadMapsProblemsToIoError) {
   const auto dir = std::filesystem::temp_directory_path();
   EXPECT_THROW((void)load_campaign_spec(dir / "wcm_missing_spec.json"),
@@ -126,6 +143,21 @@ TEST(CampaignExpand, ValidatesCellsAgainstConfigAndDevice) {
   auto too_big = parse_campaign_spec(
       R"({"grid": [{"engine": "pairwise", "E": 1000, "b": 512}]})");
   EXPECT_THROW((void)expand(too_big), wcm::error);
+}
+
+TEST(CampaignExpand, RegistryRejectsShapesBeforeAnyCellRuns) {
+  // The shearsort mesh needs whole warps per block.
+  auto split_warp = parse_campaign_spec(
+      R"({"grid": [{"engine": "shearsort", "E": 5, "b": 64, "w": 3}]})");
+  EXPECT_THROW((void)expand(split_warp), config_error);
+  // E = 4 shares a factor with w = 32: no worst case to generate.
+  auto no_attack = parse_campaign_spec(
+      R"({"grid": [{"E": 4, "b": 64, "input": "worst-case"}]})");
+  EXPECT_THROW((void)expand(no_attack), config_error);
+  // A warp width other than the device's cannot launch.
+  auto wrong_warp = parse_campaign_spec(
+      R"({"grid": [{"E": 5, "b": 64, "w": 16}]})");
+  EXPECT_THROW((void)expand(wrong_warp), config_error);
 }
 
 TEST(CampaignRun, ByteIdenticalAcrossThreadCountsAndCacheStates) {
@@ -223,6 +255,78 @@ TEST(CampaignRun, AllEnginesExecute) {
     EXPECT_NE(outcome.json.find(std::string("\"engine\":\"") + engine + "\""),
               std::string::npos)
         << engine;
+  }
+}
+
+TEST(CampaignRun, RegistryShearsortByteIdenticalAcrossThreadsAndCache) {
+  // Campaigns run every runnable registry engine; shearsort keeps the
+  // determinism contract of the original four.
+  const auto spec = parse_campaign_spec(R"({
+    "name": "shear", "device": "m4000", "seed": 13,
+    "grid": [
+      {"engine": "shearsort", "E": 5, "b": 64, "padding": [0, 1],
+       "input": ["random", "worst-case"], "k": [1, 2]}
+    ]
+  })");
+  CampaignOptions serial;
+  serial.threads = 1;
+  serial.use_cache = false;
+  const auto ref = run_campaign(spec, serial);
+  EXPECT_EQ(ref.computed, 8u);
+  EXPECT_NE(ref.json.find("\"engine\":\"shearsort\""), std::string::npos);
+  EXPECT_NE(ref.json.find("\"label\":\"shearsort E=5 b=64 w=32 pad=1\""),
+            std::string::npos);
+
+  CampaignOptions parallel;
+  parallel.threads = 4;
+  parallel.use_cache = false;
+  EXPECT_EQ(ref.json, run_campaign(spec, parallel).json);
+
+  const auto cache_path = std::filesystem::temp_directory_path() /
+                          "wcm_campaign_shearsort_unit.wcmc";
+  std::filesystem::remove(cache_path);
+  CampaignOptions cached;
+  cached.threads = 4;
+  cached.cache_path = cache_path;
+  const auto cold = run_campaign(spec, cached);
+  const auto warm = run_campaign(spec, cached);
+  EXPECT_EQ(cold.computed, 8u);
+  EXPECT_EQ(warm.cache_hits, 8u);
+  EXPECT_EQ(ref.json, cold.json);
+  EXPECT_EQ(ref.json, warm.json);
+  std::filesystem::remove(cache_path);
+}
+
+TEST(CampaignExpand, RegistryKeepsCanonicalKeysOfTheOriginalEngines) {
+  // Existing .wcmc caches must keep hitting: the canonical key and label
+  // of every pre-registry engine are unchanged.
+  const auto cells = expand(parse_campaign_spec(R"({
+    "device": "m4000", "seed": 1,
+    "grid": [
+      {"engine": "pairwise", "library": "mgpu", "E": 5, "b": 64},
+      {"engine": "multiway", "E": 5, "b": 64, "ways": 3},
+      {"engine": "bitonic", "E": 5, "b": 64},
+      {"engine": "radix", "E": 5, "b": 64, "digit_bits": 6}
+    ]
+  })"));
+  ASSERT_EQ(cells.size(), 4u);
+  const char* bases[] = {
+      "wcmc1|device=Quadro M4000|engine=pairwise|lib=mgpu|E=5|b=64|w=32|"
+      "pad=0|refills=0|input=random|k=1|n=640|ways=0|bits=0",
+      "wcmc1|device=Quadro M4000|engine=multiway|lib=thrust|E=5|b=64|w=32|"
+      "pad=0|refills=0|input=random|k=1|n=640|ways=3|bits=0",
+      "wcmc1|device=Quadro M4000|engine=bitonic|lib=thrust|E=5|b=64|w=32|"
+      "pad=0|refills=0|input=random|k=1|n=640|ways=0|bits=0",
+      "wcmc1|device=Quadro M4000|engine=radix|lib=thrust|E=5|b=64|w=32|"
+      "pad=0|refills=0|input=random|k=1|n=640|ways=0|bits=6"};
+  const char* labels[] = {"pairwise/mgpu E=5 b=64 w=32 pad=0 random k=1",
+                          "multiway E=5 b=64 w=32 pad=0 ways=3 random k=1",
+                          "bitonic E=5 b=64 w=32 pad=0 random k=1",
+                          "radix E=5 b=64 w=32 pad=0 bits=6 random k=1"};
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    EXPECT_EQ(cells[i].canonical.substr(0, cells[i].canonical.find("|seed=")),
+              bases[i]);
+    EXPECT_EQ(cells[i].label, labels[i]);
   }
 }
 

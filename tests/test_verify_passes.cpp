@@ -295,12 +295,26 @@ TEST(VerifySweep, DifferentialGridBracketsEveryReplay) {
   const auto report =
       analyze::passes::run_verify({"pairwise", "shearsort"}, opts);
   EXPECT_TRUE(report.differential_ok);
-  EXPECT_FALSE(report.differential.empty());
+  // 2 widths x 4 E x 2 layouts per engine.
+  EXPECT_EQ(report.differential.size(), 2 * 16u);
   for (const auto& cell : report.differential) {
     EXPECT_TRUE(cell.ok) << cell.engine << " w=" << cell.w
                          << " E=" << cell.E;
     EXPECT_EQ(cell.violations, 0u);
   }
+}
+
+TEST(VerifySweep, DifferentialRunsEveryRunnableRegistryEngine) {
+  analyze::passes::VerifyOptions opts;
+  opts.ws = {2, 4};
+  opts.e_max = 8;
+  const auto report =
+      analyze::passes::run_verify(analyze::symbolic::all_engines(), opts);
+  EXPECT_TRUE(report.differential_ok);
+  // pairwise, multiway, radix, shearsort: 2 widths x 4 E x 2 layouts each;
+  // bitonic only at its fixed E = 2.  The describe-only engines run
+  // inside pairwise.
+  EXPECT_EQ(report.differential.size(), 4 * 16u + 4u);
 }
 
 TEST(VerifySweep, ReportDigestIsDeterministic) {

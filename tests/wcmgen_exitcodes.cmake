@@ -36,20 +36,28 @@ expect_exit(2 ${WCMGEN} prove --layout nope)
 expect_exit(2 ${WCMGEN} prove --certify --bs 64x)
 expect_exit(2 ${WCMGEN} prove --bs 64,128)  # grid axes need --certify
 
-# The unknown-engine diagnostic must enumerate the registry (one list in
-# prove.cpp feeds the error, all_engines(), and the describers), so a new
-# engine can never be registered half-way.
-execute_process(COMMAND ${WCMGEN} prove --engine quicksort
-                RESULT_VARIABLE rv OUTPUT_VARIABLE out ERROR_VARIABLE err)
-if(NOT rv EQUAL 2)
-  message(FATAL_ERROR "prove --engine quicksort: expected exit 2, got ${rv}")
-endif()
-foreach(engine blocksort block-merge pairwise multiway bitonic radix scan
-        shearsort)
-  if(NOT err MATCHES "${engine}")
-    message(FATAL_ERROR
-      "unknown-engine diagnostic does not list '${engine}': ${err}")
+# The unknown-engine diagnostic of every front end must enumerate the one
+# engine table (sort/registry.hpp feeds the error, all_engines(), the
+# describers and the run functions), so a new engine can never be
+# registered half-way.  A campaign spec naming one is a bad spec file (3).
+file(WRITE ${WORKDIR}/exitcode_engine.json
+     [[{"grid": [{"engine": "quicksort"}]}]])
+foreach(probe "prove;--engine;quicksort;2"
+        "sort;--E;5;--b;64;--algorithm;nope;2"
+        "campaign;${WORKDIR}/exitcode_engine.json;3")
+  list(POP_BACK probe code)
+  execute_process(COMMAND ${WCMGEN} ${probe}
+                  RESULT_VARIABLE rv OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rv EQUAL ${code})
+    message(FATAL_ERROR "${probe}: expected exit ${code}, got ${rv}")
   endif()
+  foreach(engine blocksort block-merge pairwise multiway bitonic radix scan
+          shearsort)
+    if(NOT err MATCHES "${engine}")
+      message(FATAL_ERROR
+        "${probe}: unknown-engine diagnostic does not list '${engine}': ${err}")
+    endif()
+  endforeach()
 endforeach()
 
 # help -> 0
@@ -80,6 +88,29 @@ expect_exit(2 ${WCMGEN} serve --no-such-flag x)
 expect_exit(4 ${WCMGEN} generate --E 0 --b 64)
 expect_exit(4 ${WCMGEN} sort --E 5 --b 32 --w 32)   # b < 2w
 expect_exit(4 ${WCMGEN} sort --E 5 --b 63)          # b not a power of two
+
+# Engine parameters and shapes are configuration at every front end: the
+# registry's check runs before any engine work, so none of these reaches
+# an engine's internal contract (which would exit 5).
+set(rnd --E 5 --k 1 --input random)
+foreach(bad "--w;15" "--b;48" "--algorithm;multiway;--ways;1"
+        "--algorithm;radix;--digit-bits;0")
+  expect_exit(4 ${WCMGEN} sort ${rnd} ${bad})
+endforeach()
+expect_exit(4 ${WCMGEN} sort --E 5 --b 64 --k 1 --w 15)  # worst-case input
+foreach(bad "--w;15" "--b;48" "--engine;multiway;--ways;1"
+        "--engine;radix;--digit-bits;0")
+  expect_exit(4 ${WCMGEN} prove ${bad})
+  expect_exit(4 ${WCMGEN} prove --certify ${bad})
+endforeach()
+foreach(bad "--ws;15" "--b;48" "--engine;multiway;--ways;1"
+        "--engine;radix;--digit-bits;0")
+  expect_exit(4 ${WCMGEN} verify --no-differential ${bad})
+endforeach()
+# A worst-case input at an E the generator cannot build (E = 4 shares a
+# factor with w = 32) is configuration too.
+expect_exit(4 ${WCMGEN} sort --E 4 --b 64 --k 1)
+expect_exit(4 ${WCMGEN} generate --E 4 --b 64 --k 1)
 
 # bad input file -> 3
 expect_exit(3 ${WCMGEN} inspect --in ${WORKDIR}/definitely-missing.wcmi)
@@ -139,4 +170,4 @@ expect_exit(6 ${CMAKE_COMMAND} -E env WCM_FAILPOINTS=runtime.worker.job
 
 file(REMOVE ${WORKDIR}/exitcode_corrupt.wcmi ${WORKDIR}/exitcode_ok.wcmi
      ${WORKDIR}/exitcode_campaign.json
-     ${WORKDIR}/exitcode_campaign.json.wcmj)
+     ${WORKDIR}/exitcode_campaign.json.wcmj ${WORKDIR}/exitcode_engine.json)
