@@ -9,12 +9,13 @@
 // b = 64 (one file per E), demonstrating the "for every value of E"
 // claim of the abstract.
 
-#include <cstdlib>
 #include <filesystem>
 #include <iostream>
 
 #include "core/generator.hpp"
 #include "core/numbers.hpp"
+#include "util/error.hpp"
+#include "util/parse.hpp"
 #include "workload/inputs.hpp"
 #include "workload/io.hpp"
 
@@ -22,7 +23,16 @@ int main(int argc, char** argv) {
   using namespace wcm;
 
   const std::filesystem::path out_dir = argc > 1 ? argv[1] : "bank";
-  const u32 k = argc > 2 ? static_cast<u32>(std::atoi(argv[2])) : 4;
+  u32 k = 4;
+  try {
+    if (argc > 2) {
+      k = static_cast<u32>(parse_unsigned("k", argv[2], 40));
+    }
+  } catch (const parse_error& e) {
+    std::cerr << "usage: adversarial_bank [out_dir] [k]: " << e.what()
+              << "\n";
+    return 2;
+  }
   std::filesystem::create_directories(out_dir);
 
   std::vector<sort::SortConfig> configs = {

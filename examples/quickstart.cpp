@@ -6,13 +6,15 @@
 //
 // defaults: E=15, b=512 (Thrust on the Quadro M4000), n = bE * 2^5.
 
-#include <cstdlib>
 #include <iostream>
+#include <limits>
 
 #include "analysis/series.hpp"
 #include "core/conflict_model.hpp"
 #include "core/generator.hpp"
 #include "sort/pairwise_sort.hpp"
+#include "util/error.hpp"
+#include "util/parse.hpp"
 #include "workload/inputs.hpp"
 
 int main(int argc, char** argv) {
@@ -20,14 +22,20 @@ int main(int argc, char** argv) {
 
   sort::SortConfig cfg = sort::params_15_512();
   u32 k = 5;
-  if (argc > 1) {
-    cfg.E = static_cast<u32>(std::atoi(argv[1]));
-  }
-  if (argc > 2) {
-    cfg.b = static_cast<u32>(std::atoi(argv[2]));
-  }
-  if (argc > 3) {
-    k = static_cast<u32>(std::atoi(argv[3]));
+  constexpr u64 kU32Max = std::numeric_limits<u32>::max();
+  try {
+    if (argc > 1) {
+      cfg.E = static_cast<u32>(parse_unsigned("E", argv[1], kU32Max));
+    }
+    if (argc > 2) {
+      cfg.b = static_cast<u32>(parse_unsigned("b", argv[2], kU32Max));
+    }
+    if (argc > 3) {
+      k = static_cast<u32>(parse_unsigned("k", argv[3], 40));
+    }
+  } catch (const parse_error& e) {
+    std::cerr << "usage: quickstart [E] [b] [k]: " << e.what() << "\n";
+    return 2;
   }
   cfg.validate();
   const std::size_t n = cfg.tile() << k;

@@ -7,22 +7,36 @@
 //
 //   ./tuner [device] [k]     device in {m4000, 2080ti}, n = bE * 2^k
 
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
+#include <string>
 
 #include "core/numbers.hpp"
 #include "gpusim/occupancy.hpp"
 #include "sort/pairwise_sort.hpp"
+#include "util/error.hpp"
+#include "util/parse.hpp"
 #include "util/table.hpp"
 #include "workload/inputs.hpp"
 
 int main(int argc, char** argv) {
   using namespace wcm;
 
-  const bool use_ti = argc > 1 && std::strcmp(argv[1], "2080ti") == 0;
-  const auto dev = use_ti ? gpusim::rtx_2080ti() : gpusim::quadro_m4000();
-  const u32 k = argc > 2 ? static_cast<u32>(std::atoi(argv[2])) : 4;
+  const std::string device = argc > 1 ? argv[1] : "m4000";
+  u32 k = 4;
+  try {
+    if (device != "m4000" && device != "2080ti") {
+      throw parse_error("unknown device '" + device +
+                        "' (valid: m4000, 2080ti)");
+    }
+    if (argc > 2) {
+      k = static_cast<u32>(parse_unsigned("k", argv[2], 40));
+    }
+  } catch (const parse_error& e) {
+    std::cerr << "usage: tuner [device] [k]: " << e.what() << "\n";
+    return 2;
+  }
+  const auto dev =
+      device == "2080ti" ? gpusim::rtx_2080ti() : gpusim::quadro_m4000();
 
   std::cout << "Tuning the pairwise merge sort for " << dev.name
             << " (n = bE * 2^" << k << ")\n\n";

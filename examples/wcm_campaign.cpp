@@ -21,6 +21,7 @@
 
 #include "runtime/campaign.hpp"
 #include "util/error.hpp"
+#include "util/parse.hpp"
 
 namespace {
 
@@ -45,7 +46,7 @@ int run(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--threads" && i + 1 < argc) {
-      threads = static_cast<u32>(std::stoul(argv[++i]));
+      threads = static_cast<u32>(parse_unsigned(arg, argv[++i], 4096));
     } else if (arg == "--out" && i + 1 < argc) {
       out_path = argv[++i];
     } else if (arg.rfind("--", 0) != 0 && spec_path.empty()) {
@@ -125,6 +126,9 @@ int run(int argc, char** argv) {
 int main(int argc, char** argv) {
   try {
     return run(argc, argv);
+  } catch (const wcm::parse_error& e) {
+    std::cerr << "wcm-campaign: usage error: " << e.what() << "\n";
+    return 2;
   } catch (const std::exception& e) {
     std::cerr << "wcm-campaign: " << e.what() << "\n";
     return 5;

@@ -41,7 +41,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <fstream>
@@ -60,6 +59,7 @@
 #include "util/check.hpp"
 #include "util/error.hpp"
 #include "util/json.hpp"
+#include "util/parse.hpp"
 
 namespace {
 
@@ -135,20 +135,8 @@ struct Args {
   [[nodiscard]] u64 get_u64(const std::string& name, u64 fallback,
                             u64 max = std::numeric_limits<u64>::max()) const {
     const auto it = named.find("--" + name);
-    if (it == named.end()) {
-      return fallback;
-    }
-    u64 value = 0;
-    const std::string& text = it->second;
-    const auto [ptr, err] =
-        std::from_chars(text.data(), text.data() + text.size(), value);
-    if (text.empty() || err != std::errc() ||
-        ptr != text.data() + text.size() || value > max) {
-      throw parse_error("invalid value '" + text + "' for --" + name +
-                        " (expected an unsigned integer <= " +
-                        std::to_string(max) + ")");
-    }
-    return value;
+    return it == named.end() ? fallback
+                             : parse_unsigned("--" + name, it->second, max);
   }
 };
 

@@ -27,6 +27,7 @@
 #include "util/error.hpp"
 #include "util/json.hpp"
 #include "util/math.hpp"
+#include "util/parse.hpp"
 
 namespace {
 
@@ -43,20 +44,6 @@ usage: wcm-top [--socket path|@name]  daemon socket (default @wcmd)
 
 exit codes: 0 ok, 2 usage, 3 cannot connect / protocol error
 )";
-
-u64 parse_u64_flag(const std::string& flag, const std::string& text) {
-  try {
-    std::size_t used = 0;
-    const unsigned long long v = std::stoull(text, &used);
-    if (used != text.size()) {
-      throw std::invalid_argument("trailing");
-    }
-    return v;
-  } catch (const std::exception&) {
-    throw parse_error("invalid value '" + text + "' for " + flag +
-                      " (expected an unsigned integer)");
-  }
-}
 
 /// Result-side JSON of one successful admin roundtrip; throws io_error on
 /// a protocol or daemon-side error.
@@ -225,12 +212,12 @@ int run(int argc, char** argv) {
     if (arg == "--socket") {
       socket = value;
     } else if (arg == "--interval-ms") {
-      interval_ms = parse_u64_flag(arg, value);
+      interval_ms = parse_unsigned(arg, value);
       if (interval_ms == 0) {
         throw parse_error("--interval-ms must be >= 1");
       }
     } else if (arg == "--timeout-ms") {
-      timeout_ms = parse_u64_flag(arg, value);
+      timeout_ms = parse_unsigned(arg, value);
     } else {
       throw parse_error("unknown flag '" + arg +
                         "' (run 'wcm-top --help' for the synopsis)");

@@ -1,21 +1,22 @@
 // wcmd — the standalone adversarial-input daemon (docs/SERVE.md).
 //
 //   wcmd [--socket path|@name] [--data-dir dir] [--threads n]
-//        [--queue-max n] [--batch-max n] [--max-connections n] [--quiet]
+//        [--queue-max n] [--batch-max n] [--max-connections n]
+//        [--eventlog file.jsonl] [--quiet]
 //
-// Identical to `wcmgen serve`: accept line-delimited strict-JSON requests
-// over a Unix-domain socket, coalesce identical in-flight requests,
-// batch them into scheduler job graphs, and answer through the
-// multi-tenant WCMS response cache.  SIGINT/SIGTERM drain gracefully:
-// every request already read is answered before the process exits.
+// Identical to `wcmgen serve` (both parse with serve::parse_daemon_flags):
+// accept line-delimited strict-JSON requests over a Unix-domain socket,
+// coalesce identical in-flight requests, batch them into scheduler job
+// graphs, and answer through the multi-tenant WCMS response cache.
+// SIGINT/SIGTERM drain gracefully: every request already read is answered
+// before the process exits.
 //
 // Exit codes: 0 clean drain, 2 usage error, 3 socket/file error,
 // 5 drain invariant violated (a read request was never answered).
 
-#include <charconv>
 #include <iostream>
-#include <limits>
 #include <string>
+#include <vector>
 
 #include "serve/server.hpp"
 #include "telemetry/eventlog.hpp"
@@ -35,86 +36,28 @@ usage: wcmd [--socket path|@name] [--data-dir dir] [--threads n]
             [--queue-max n] [--batch-max n] [--max-connections n]
             [--eventlog file.jsonl] [--quiet]
 
-  --socket           Unix-domain socket to serve on; a leading '@' selects
-                     the Linux abstract namespace (default @wcmd)
-  --data-dir         durable state: WCMS response cache + campaign
-                     journals (default: in-memory only)
-  --threads          scheduler workers (default WCM_THREADS, else 1)
-  --queue-max        admission queue bound before load-shedding (256)
-  --batch-max        max requests per scheduler batch (16)
-  --max-connections  concurrent client bound before load-shedding (64)
-  --eventlog         append structured JSONL request events with
-                     correlation ids (also WCM_EVENTLOG;
-                     docs/TELEMETRY.md "Request tracing")
-  --quiet            suppress startup/drain log lines
+)";
 
+constexpr const char* kEpilogue =
+    R"(
 SIGINT/SIGTERM drain gracefully.  Exit codes: 0 clean drain, 2 usage,
 3 socket error, 5 drain invariant violated.
 )";
 
-u64 flag_u64(const std::string& flag, const std::string& text, u64 max) {
-  u64 value = 0;
-  const auto [ptr, err] =
-      std::from_chars(text.data(), text.data() + text.size(), value);
-  if (text.empty() || err != std::errc() ||
-      ptr != text.data() + text.size() || value > max) {
-    throw parse_error("invalid value '" + text + "' for " + flag +
-                      " (expected an unsigned integer <= " +
-                      std::to_string(max) + ")");
-  }
-  return value;
-}
-
 int run(int argc, char** argv) {
   failpoint::configure_from_env();
-  serve::ServerConfig cfg;
-  bool quiet = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") {
-      std::cout << kUsage;
-      return 0;
-    }
-    if (arg == "--version" || arg == "-V") {
-      std::cout << "wcmd " << version_string() << " (" << build_describe()
-                << ")\n";
-      return 0;
-    }
-    if (arg == "--quiet") {
-      quiet = true;
-      continue;
-    }
-    const bool has_value = i + 1 < argc;
-    if (!has_value) {
-      throw parse_error("flag " + arg + " requires a value");
-    }
-    const std::string value = argv[++i];
-    if (arg == "--socket") {
-      cfg.socket = value;
-    } else if (arg == "--eventlog") {
-      telemetry::eventlog::set_path(value);
-    } else if (arg == "--data-dir") {
-      cfg.data_dir = value;
-    } else if (arg == "--threads") {
-      cfg.threads = static_cast<u32>(
-          flag_u64(arg, value, std::numeric_limits<std::uint32_t>::max()));
-    } else if (arg == "--queue-max") {
-      cfg.queue_max = flag_u64(arg, value, 1 << 20);
-    } else if (arg == "--batch-max") {
-      cfg.batch_max = flag_u64(arg, value, 1 << 20);
-    } else if (arg == "--max-connections") {
-      cfg.max_connections = flag_u64(arg, value, 1 << 20);
-    } else {
-      throw parse_error("unknown flag '" + arg +
-                        "' (run 'wcmd --help' for the synopsis)");
-    }
+  const serve::DaemonOptions opts =
+      serve::parse_daemon_flags({argv + 1, argv + argc});
+  if (opts.help) {
+    std::cout << kUsage << serve::kDaemonFlagsUsage << kEpilogue;
+    return 0;
   }
-  if (cfg.queue_max == 0 || cfg.batch_max == 0 || cfg.max_connections == 0) {
-    throw parse_error(
-        "--queue-max, --batch-max, and --max-connections must be >= 1");
+  if (opts.version) {
+    std::cout << "wcmd " << version_string() << " (" << build_describe()
+              << ")\n";
+    return 0;
   }
-  serve::Server server(cfg);
-  return serve::run_server(server, quiet);
+  return serve::run_server(opts);
 }
 
 }  // namespace

@@ -1,38 +1,6 @@
 // wcmgen — command-line front end for the library: generate, inspect, and
-// measure adversarial inputs without writing any C++.
-//
-//   wcmgen generate  --E 15 --b 512 [--k 8] [--seed S] [--strategy name]
-//                    [--intra] [--rounds m] [--out file.wcmi] [--csv]
-//   wcmgen evaluate  --E 15 [--w 32] [--side L|R] [--strategy name]
-//   wcmgen sort      --E 15 --b 512 [--k 6] [--input kind] [--device name]
-//                    [--library thrust|mgpu] [--padding p] [--layout kind]
-//                    [--seed S] [--json] [--trace-out file.wcmt]
-//                    [--algorithm pairwise|multiway|bitonic|radix|shearsort]
-//   wcmgen inspect   --in file.wcmi
-//   wcmgen analyze   --in file.wcmt [--json] [--pad p] [--layout kind]
-//                    [--no-cross-check]
-//   wcmgen prove     [--engine name|all] [--w n] [--b n] [--pad p]
-//                    [--layout kind] [--E-min n] [--E-max n] [--any-E]
-//                    [--ways k] [--digit-bits n] [--json]
-//                    [--certify [--bs n,n,...] [--pads n,n,...]]
-//   wcmgen verify    [--engine name|all] [--ws n,n,...] [--b n] [--pad p]
-//                    [--layout kind] [--E-min n] [--E-max n] [--odd-E]
-//                    [--ways k] [--digit-bits n] [--no-differential]
-//                    [--json]
-//   wcmgen visualize --E 7 [--w 16] [--strategy name]
-//   wcmgen campaign  spec.json [--threads n] [--no-cache] [--cache file]
-//                    [--out file.json] [--trace-dir dir] [--quiet]
-//                    [--journal file.wcmj] [--resume] [--retries n]
-//                    [--fail-fast]
-//   wcmgen profile   [--telemetry trace.json] [--metrics metrics.json]
-//                    (<any subcommand + its flags> |
-//                     --engine name --adversarial small-E|large-E [--k n])
-//   wcmgen serve     [--socket path|@name] [--data-dir dir] [--threads n]
-//                    [--queue-max n] [--batch-max n] [--max-connections n]
-//                    [--quiet]        (the wcmd daemon, docs/SERVE.md)
-//   wcmgen version   print the release version, the git describe the
-//                    binary was built from, and the cache salt (also
-//                    --version / -V)
+// measure adversarial inputs without writing any C++.  Every subcommand is
+// one row of subcommands() below; kUsage is the synopsis (`wcmgen --help`).
 //
 // Every subcommand prints to stdout; `generate --out` additionally writes
 // the WCMI binary (plus .csv with --csv).
@@ -50,7 +18,7 @@
 // `serve` exits 0 after a clean drain (every request answered) and 5 when
 // the drain invariant is violated; socket errors map to 3 as usual.
 
-#include <charconv>
+#include <algorithm>
 #include <csignal>
 #include <cstdint>
 #include <fstream>
@@ -67,9 +35,10 @@
 #include "analyze/symbolic/prove.hpp"
 #include "gpusim/layout.hpp"
 #include "gpusim/trace.hpp"
-#include "analysis/series.hpp"
 #include "core/conflict_model.hpp"
 #include "core/generator.hpp"
+#include "core/numbers.hpp"
+#include "core/warp_construction.hpp"
 #include "runtime/cache.hpp"
 #include "runtime/campaign.hpp"
 #include "runtime/scheduler.hpp"
@@ -77,6 +46,8 @@
 #include "serve/server.hpp"
 #include "telemetry/eventlog.hpp"
 #include "util/json.hpp"
+#include "util/parse.hpp"
+#include "util/table.hpp"
 #include "util/version.hpp"
 #include "util/failpoint.hpp"
 #include "telemetry/registry.hpp"
@@ -103,7 +74,9 @@ subcommands:
              [--intra] [--rounds n] [--out file.wcmi] [--csv]
   evaluate   score one worst-case warp against the closed forms
              --E n [--w n] [--side L|R] [--strategy name]
-  sort       run a simulated sort and report conflicts/time
+  sort       run a simulated sort and print its per-kernel profile (time,
+             beta1/beta2, replays, conflicts per element, global
+             transactions, search steps) and the modeled time split
              --E n --b n [--w n] [--padding n] [--k n] [--seed n]
              [--layout linear|xor|rotation]
              [--input random|sorted|reversed|nearly-sorted|worst-case]
@@ -113,13 +86,16 @@ subcommands:
              [--trace-out file.wcmt]
   inspect    validate and summarize a WCMI file
              --in file.wcmi
-  analyze    lint a recorded shared-memory trace (races, bounds, strides;
-             see docs/LINT.md) -- also available as the wcm-lint binary
-             --in file.wcmt [--json] [--pad n]
+  analyze    lint recorded shared-memory traces (races, bounds, strides;
+             see docs/LINT.md); the text summary re-prices each trace
+             under --pad/--layout (replayed serialization and replays)
+             trace.wcmt [more.wcmt...] [--in file.wcmt] [--json] [--pad n]
              [--layout linear|xor|rotation] [--no-cross-check]
   prove      derive symbolic bank-conflict bounds for the sort engines,
              valid for every E in the declared range, without executing
              any trace; cross-checks Theorems 3 and 9 (docs/LINT.md).
+             --trace also certifies a recorded trace of one --engine
+             against its derived bounds.
              --certify upgrades the bounds to a machine-checkable
              certificate over a (b, pad) grid: every statement proved
              conflict-free, or a DMM-replay-confirmed counterexample
@@ -127,7 +103,7 @@ subcommands:
               radix|scan|shearsort|all] [--w n] [--b n] [--pad n]
              [--layout linear|xor|rotation] [--E-min n] [--E-max n]
              [--any-E] [--ways k] [--digit-bits n] [--json]
-             [--certify] [--bs n,n,...] [--pads n,n,...]
+             [--trace file.wcmt] [--certify] [--bs n,n,...] [--pads n,n,...]
   verify     statically verify the engines' access-pattern declarations
              across warp widths: barrier uniformity, def-use (no
              uninitialized or out-of-bounds shared-memory access) for
@@ -139,7 +115,10 @@ subcommands:
              [--layout linear|xor|rotation] [--E-min n] [--E-max n]
              [--odd-E] [--ways k] [--digit-bits n] [--no-differential]
              [--json]
-  visualize  render one worst-case warp assignment
+  visualize  render one worst-case warp assignment (Figure 3) with its
+             aligned count, per-step serialization and conflict heatmap;
+             an E outside the construction's domain renders sorted order
+             (Figure 1)
              --E n [--w n] [--strategy name]
   campaign   expand a JSON grid spec into cells and run them on the
              parallel runtime with result caching, a crash-safe journal,
@@ -162,7 +141,7 @@ subcommands:
              (docs/SERVE.md); SIGINT/SIGTERM drain gracefully
              [--socket path|@name] [--data-dir dir] [--threads n]
              [--queue-max n] [--batch-max n] [--max-connections n]
-             [--quiet]
+             [--eventlog file.jsonl] [--quiet]
   metrics    fetch a running daemon's metrics over its socket and print
              them (docs/TELEMETRY.md "Exposition formats"); --format
              prometheus emits Prometheus text exposition 0.0.4
@@ -179,27 +158,6 @@ exit codes: 0 ok, 1 findings (analyze/prove/verify), 2 usage, 3 bad input
             7 interrupted campaign (resumable)
 )";
 
-/// Strict full-string parse of an unsigned decimal; rejects empty values,
-/// signs, trailing garbage ("15x"), and values above `max`.
-u64 parse_u64_value(const std::string& flag, const std::string& text,
-                    u64 max = std::numeric_limits<u64>::max()) {
-  if (text.empty()) {
-    throw parse_error("flag " + flag + " requires a numeric value");
-  }
-  u64 value = 0;
-  const auto [ptr, err] =
-      std::from_chars(text.data(), text.data() + text.size(), value);
-  if (err != std::errc() || ptr != text.data() + text.size()) {
-    throw parse_error("invalid value '" + text + "' for " + flag +
-                      " (expected an unsigned integer)");
-  }
-  if (value > max) {
-    throw parse_error("value " + text + " for " + flag +
-                      " is out of range (max " + std::to_string(max) + ")");
-  }
-  return value;
-}
-
 /// Comma-separated list of unsigned decimals ("0,1,4"); every element is
 /// parsed with the same strictness as a scalar flag value.
 std::vector<u32> parse_u32_list(const std::string& flag,
@@ -210,8 +168,8 @@ std::vector<u32> parse_u32_list(const std::string& flag,
     const std::size_t comma = text.find(',', start);
     const std::size_t end = comma == std::string::npos ? text.size() : comma;
     values.push_back(static_cast<u32>(
-        parse_u64_value(flag, text.substr(start, end - start),
-                        std::numeric_limits<std::uint32_t>::max())));
+        parse_unsigned(flag, text.substr(start, end - start),
+                       std::numeric_limits<std::uint32_t>::max())));
     if (comma == std::string::npos) {
       break;
     }
@@ -231,8 +189,11 @@ std::string join_choices(const std::vector<std::string>& choices) {
   return out;
 }
 
+/// One parsed invocation: flag values by "--name", plus the positional
+/// operands in command-line order.
 struct Args {
   std::map<std::string, std::string> named;
+  std::vector<std::string> operands;
 
   bool flag(const std::string& name) const {
     return named.count("--" + name) > 0;
@@ -245,48 +206,71 @@ struct Args {
               u64 max = std::numeric_limits<u64>::max()) const {
     const auto it = named.find("--" + name);
     return it == named.end() ? fallback
-                             : parse_u64_value("--" + name, it->second, max);
+                             : parse_unsigned("--" + name, it->second, max);
   }
   u32 get_u32(const std::string& name, u32 fallback) const {
     return static_cast<u32>(get_u64(
         name, fallback, std::numeric_limits<std::uint32_t>::max()));
   }
-
-  /// Reject flags outside `allowed` (naming the subcommand and the valid
-  /// set) so a typo never silently falls back to a default.
-  void require_known(const std::string& cmd,
-                     const std::vector<std::string>& allowed) const {
-    for (const auto& [key, value] : named) {
-      bool ok = key == "--help";
-      for (const auto& a : allowed) {
-        ok = ok || key == "--" + a;
-      }
-      if (!ok) {
-        std::vector<std::string> pretty;
-        pretty.reserve(allowed.size());
-        for (const auto& a : allowed) {
-          pretty.push_back("--" + a);
-        }
-        throw parse_error("unknown flag '" + key + "' for subcommand '" +
-                          cmd + "' (valid: " + join_choices(pretty) + ")");
-      }
-    }
-  }
 };
 
-Args parse(int argc, char** argv, int first) {
+/// One row of the subcommand table: the name, the handler, and the flags
+/// the parser accepts for it.  A `raw` subcommand parses its own tokens,
+/// which it receives unparsed as operands.
+struct Subcommand {
+  std::string name;
+  int (*run)(const Args&) = nullptr;
+  std::vector<std::string> options{};   ///< flags that take a value
+  std::vector<std::string> switches{};  ///< flags that take none
+  std::size_t max_operands = 0;
+  bool wrappable = true;  ///< `wcmgen profile <name> ...` may wrap it
+  bool raw = false;
+};
+
+constexpr std::size_t kAnyOperands = std::numeric_limits<std::size_t>::max();
+
+/// Split `tokens` into flags and operands under `cmd`'s flag set.  Every
+/// subcommand accepts --help.  A value never starts with "--", so a flag
+/// missing its value is reported rather than swallowing the next flag.
+Args parse(const Subcommand& cmd, const std::vector<std::string>& tokens) {
   Args args;
-  for (int i = first; i < argc; ++i) {
-    std::string key = argv[i];
-    if (key.rfind("--", 0) != 0) {
-      throw parse_error("unexpected argument '" + key +
-                        "' (flags start with --)");
+  if (cmd.raw) {
+    args.operands = tokens;
+    return args;
+  }
+  const auto in = [](const std::vector<std::string>& set,
+                     const std::string& name) {
+    return std::find(set.begin(), set.end(), name) != set.end();
+  };
+  for (std::size_t i = 0; i < tokens.size(); ++i) {
+    const std::string& token = tokens[i];
+    if (token.rfind("--", 0) != 0) {
+      args.operands.push_back(token);
+      continue;
     }
-    if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-      args.named[key] = argv[++i];
+    const std::string name = token.substr(2);
+    if (name == "help" || in(cmd.switches, name)) {
+      args.named[token] = "";
+    } else if (in(cmd.options, name)) {
+      if (i + 1 == tokens.size() || tokens[i + 1].rfind("--", 0) == 0) {
+        throw parse_error("flag " + token + " requires a value");
+      }
+      args.named[token] = tokens[++i];
     } else {
-      args.named[key] = "";
+      std::vector<std::string> valid;
+      for (const auto* set : {&cmd.options, &cmd.switches}) {
+        for (const std::string& f : *set) {
+          valid.push_back("--" + f);
+        }
+      }
+      throw parse_error("unknown flag '" + token + "' for subcommand '" +
+                        cmd.name + "' (valid: " + join_choices(valid) + ")");
     }
+  }
+  if (args.operands.size() > cmd.max_operands) {
+    throw parse_error("unexpected argument '" +
+                      args.operands[cmd.max_operands] + "' for subcommand '" +
+                      cmd.name + "' (flags start with --)");
   }
   return args;
 }
@@ -335,9 +319,22 @@ gpusim::Device device_from(const Args& a) {
        {"rtx2080ti", gpusim::rtx_2080ti()}});
 }
 
+/// The construction regime of (w, E), checked up front so an impossible
+/// --w is a configuration error (exit 4), never a violated contract deep in
+/// the construction (exit 5).
+core::ERegime regime_from(u32 w, u32 e) {
+  if (!is_pow2(w)) {
+    throw config_error("--w must be a power of two (got " +
+                       std::to_string(w) + ")");
+  }
+  return core::classify_e(w, e);
+}
+
+bool has_construction(core::ERegime regime) {
+  return regime == core::ERegime::small || regime == core::ERegime::large;
+}
+
 int cmd_generate(const Args& a) {
-  a.require_known("generate", {"E", "b", "w", "padding", "k", "seed",
-                               "strategy", "intra", "rounds", "out", "csv"});
   const auto cfg = config_from(a);
   const u32 k = static_cast<u32>(a.get_u64("k", 8, 40));  // n = bE * 2^k
   const std::size_t n = cfg.tile() << k;
@@ -378,13 +375,16 @@ int cmd_generate(const Args& a) {
 }
 
 int cmd_evaluate(const Args& a) {
-  a.require_known("evaluate", {"E", "w", "side", "strategy"});
   const u32 w = a.get_u32("w", 32);
   const u32 e = a.get_u32("E", 15);
   const auto side = parse_choice<core::WarpSide>(
       "--side", a.get("side", "L"),
       {{"L", core::WarpSide::L}, {"R", core::WarpSide::R}});
   const auto strategy = parse_strategy(a.get("strategy", "front-to-back"));
+  if (!has_construction(regime_from(w, e))) {
+    throw config_error("evaluate needs gcd(w, E) == 1 and 3 <= E < w (got w=" +
+                       std::to_string(w) + ", E=" + std::to_string(e) + ")");
+  }
   const auto wa = core::worst_case_warp(w, e, side, strategy);
   const u32 s = core::alignment_window_start(w, e, strategy);
   const auto eval = core::evaluate_warp(wa, s);
@@ -399,10 +399,29 @@ int cmd_evaluate(const Args& a) {
   return 0;
 }
 
+void print_profile(const sort::SortReport& report) {
+  Table t({"kernel", "time_ms", "beta1", "beta2", "replays", "conflicts/elem",
+           "global_txn", "search_steps"});
+  for (const auto& r : report.rounds) {
+    t.new_row()
+        .add(r.name)
+        .add(r.modeled_seconds * 1e3, 4)
+        .add(gpusim::beta1(r.kernel), 2)
+        .add(gpusim::beta2(r.kernel), 2)
+        .add(r.kernel.shared.replays)
+        .add(gpusim::conflicts_per_element(r.kernel), 3)
+        .add(r.kernel.global_transactions)
+        .add(r.kernel.binary_search_steps);
+  }
+  t.print(std::cout);
+  const gpusim::KernelTime& time = report.total_time;
+  std::cout << "time split: bandwidth " << time.t_bandwidth * 1e3
+            << "ms, shared " << time.t_shared * 1e3 << "ms, compute "
+            << time.t_compute * 1e3 << "ms, latency " << time.t_latency * 1e3
+            << "ms, overhead " << time.t_overhead * 1e3 << "ms\n";
+}
+
 int cmd_sort(const Args& a) {
-  a.require_known("sort", {"E", "b", "w", "padding", "layout", "k", "seed",
-                           "input", "device", "library", "algorithm", "ways",
-                           "digit-bits", "json", "trace-out"});
   auto cfg = config_from(a);
   const std::string trace_out = a.get("trace-out", "");
   gpusim::TraceRecorder recorder;
@@ -448,16 +467,13 @@ int cmd_sort(const Args& a) {
     std::cout << "\n";
     return 0;
   }
-  std::cout << report.summary() << "\n";
-  for (const auto& r : report.rounds) {
-    std::cout << "  " << r.name << ": " << r.modeled_seconds * 1e3
-              << " ms, beta2 " << gpusim::beta2(r.kernel) << "\n";
-  }
+  std::cout << report.summary() << " input=" << workload::to_string(kind)
+            << "\n\n";
+  print_profile(report);
   return 0;
 }
 
 int cmd_inspect(const Args& a) {
-  a.require_known("inspect", {"in"});
   const std::string in = a.get("in", "");
   if (in.empty()) {
     throw parse_error("inspect requires --in file.wcmi");
@@ -480,18 +496,19 @@ int cmd_inspect(const Args& a) {
 }
 
 int cmd_analyze(const Args& a) {
-  a.require_known("analyze", {"in", "json", "pad", "layout",
-                              "no-cross-check"});
-  const std::string in = a.get("in", "");
-  if (in.empty()) {
-    throw parse_error("analyze requires --in file.wcmt");
+  std::vector<std::string> files = a.operands;
+  if (a.flag("in")) {
+    files.push_back(a.get("in", ""));
+  }
+  if (files.empty()) {
+    throw parse_error("analyze requires one or more trace files");
   }
   analyze::LintOptions opts;
   opts.json = a.flag("json");
   opts.analysis.pad = a.get_u32("pad", 0);
   opts.analysis.layout = gpusim::parse_layout_kind(a.get("layout", "linear"));
   opts.analysis.cross_check = !a.flag("no-cross-check");
-  return analyze::run_lint({in}, opts, std::cout, std::cerr);
+  return analyze::run_lint(files, opts, std::cout, std::cerr);
 }
 
 /// Read the symbolic shape flag set shared by the `prove` branches and
@@ -515,12 +532,14 @@ std::vector<std::string> engine_list(const Args& a) {
 }
 
 int cmd_prove(const Args& a) {
-  a.require_known("prove", {"engine", "w", "b", "pad", "layout", "E-min",
-                            "E-max", "any-E", "ways", "digit-bits", "json",
-                            "certify", "bs", "pads"});
   analyze::symbolic::ProveOptions opts;
   read_shape_flags(a, opts);
+  const bool trace = a.flag("trace");
   if (a.flag("certify")) {
+    if (trace) {
+      throw parse_error("--trace certifies one recorded run against the "
+                        "proved bounds; it does not combine with --certify");
+    }
     // Certification mode: universally quantified conflict-freedom over a
     // (b, pad) grid, or a replay-confirmed counterexample (docs/THEORY.md).
     analyze::symbolic::CertifyOptions copts{opts};
@@ -544,7 +563,19 @@ int cmd_prove(const Args& a) {
     throw parse_error("--bs/--pads are grid axes of certification mode "
                       "(add --certify, or use scalar --b/--pad)");
   }
-  const auto report = analyze::symbolic::prove(engine_list(a), opts);
+  const std::vector<std::string> engines = engine_list(a);
+  if (trace && engines.size() != 1) {
+    throw parse_error("--trace requires a single --engine to certify against");
+  }
+  auto report = analyze::symbolic::prove(engines, opts);
+  if (trace) {
+    // The static/dynamic cross-check: replay the recorded trace through
+    // the DMM and certify every step against the derived bound.
+    analyze::symbolic::append_findings(
+        report, analyze::symbolic::certify_trace(
+                    analyze::load_trace_file(a.get("trace", "")),
+                    report.engines.at(0)));
+  }
   if (opts.json) {
     analyze::symbolic::render_json(std::cout, report);
   } else {
@@ -554,9 +585,6 @@ int cmd_prove(const Args& a) {
 }
 
 int cmd_verify(const Args& a) {
-  a.require_known("verify", {"engine", "ws", "b", "pad", "layout", "E-min",
-                             "E-max", "odd-E", "ways", "digit-bits", "json",
-                             "no-differential"});
   analyze::passes::VerifyOptions opts;
   // E defaults deliberately exceed the conflict prover's E < w domain:
   // the def-use and barrier passes are universal over the whole range,
@@ -592,11 +620,9 @@ extern "C" void wcmgen_on_signal(int /*signum*/) {
   g_campaign_cancel.cancel();
 }
 
-int cmd_campaign(const Args& a, const std::string& spec_path) {
-  a.require_known("campaign", {"spec", "threads", "no-cache", "cache", "out",
-                               "trace-dir", "quiet", "journal", "resume",
-                               "retries", "fail-fast"});
-  std::string path = spec_path.empty() ? a.get("spec", "") : spec_path;
+int cmd_campaign(const Args& a) {
+  const std::string path =
+      a.operands.empty() ? a.get("spec", "") : a.operands.front();
   if (path.empty()) {
     throw parse_error(
         "campaign requires a spec file: wcmgen campaign spec.json");
@@ -664,27 +690,30 @@ int cmd_campaign(const Args& a, const std::string& spec_path) {
   return outcome.degraded() ? 6 : 0;
 }
 
+int cmd_version(const Args& /*a*/) {
+  // version = the release; describe = the exact commit the binary came
+  // from; salt = what partitions WCMC/WCMS cache files across builds (a
+  // mismatched salt is why a daemon starts cold after an upgrade).
+  std::cout << "wcmgen " << version_string() << " (" << build_describe()
+            << ")\n"
+            << "cache salt: 0x" << std::hex << runtime::code_version_salt()
+            << std::dec << "\n";
+  return 0;
+}
+
 int cmd_serve(const Args& a) {
-  a.require_known("serve", {"socket", "data-dir", "threads", "queue-max",
-                            "batch-max", "max-connections", "quiet"});
-  serve::ServerConfig cfg;
-  cfg.socket = a.get("socket", cfg.socket);
-  cfg.data_dir = a.get("data-dir", "");
-  cfg.threads = a.get_u32("threads", 0);
-  cfg.queue_max = a.get_u64("queue-max", cfg.queue_max, 1 << 20);
-  cfg.batch_max = a.get_u64("batch-max", cfg.batch_max, 1 << 20);
-  cfg.max_connections =
-      a.get_u64("max-connections", cfg.max_connections, 1 << 20);
-  if (cfg.queue_max == 0 || cfg.batch_max == 0 || cfg.max_connections == 0) {
-    throw parse_error(
-        "--queue-max, --batch-max, and --max-connections must be >= 1");
+  const serve::DaemonOptions opts = serve::parse_daemon_flags(a.operands);
+  if (opts.help) {
+    std::cout << kUsage;
+    return 0;
   }
-  serve::Server server(cfg);
-  return serve::run_server(server, a.flag("quiet"));
+  if (opts.version) {
+    return cmd_version(a);
+  }
+  return serve::run_server(opts);
 }
 
 int cmd_metrics(const Args& a) {
-  a.require_known("metrics", {"socket", "format", "timeout-ms"});
   const std::string socket = a.get("socket", "@wcmd");
   const std::string format = a.get("format", "json");
   if (format != "json" && format != "text" && format != "prometheus") {
@@ -718,109 +747,157 @@ int cmd_metrics(const Args& a) {
   return 0;
 }
 
-int cmd_version() {
-  // version = the release; describe = the exact commit the binary came
-  // from; salt = what partitions WCMC/WCMS cache files across builds (a
-  // mismatched salt is why a daemon starts cold after an upgrade).
-  std::cout << "wcmgen " << version_string() << " (" << build_describe()
-            << ")\n"
-            << "cache salt: 0x" << std::hex << runtime::code_version_salt()
-            << std::dec << "\n";
-  return 0;
-}
-
 int cmd_visualize(const Args& a) {
-  a.require_known("visualize", {"E", "w", "strategy"});
   const u32 w = a.get_u32("w", 16);
   const u32 e = a.get_u32("E", 7);
   const auto strategy = parse_strategy(a.get("strategy", "front-to-back"));
+  const core::ERegime regime = regime_from(w, e);
+  if (!has_construction(regime)) {
+    // Sorted order (the Figure 1 situation): every d = gcd(w, E)-th chunk
+    // aligns.
+    if (e < 1 || e > w) {
+      throw config_error("visualize needs 1 <= E <= w (got w=" +
+                         std::to_string(w) + ", E=" + std::to_string(e) +
+                         ")");
+    }
+    const auto wa = core::sorted_order_warp(w, e);
+    std::cout << "Sorted order, w=" << w << ", E=" << e
+              << " (gcd = " << gcd(w, e) << "):\n"
+              << core::render_warp(wa) << "aligned "
+              << core::evaluate_warp(wa, 0).aligned << " of " << w * e
+              << " elements\n";
+    return 0;
+  }
   const auto wa = core::worst_case_warp(w, e, core::WarpSide::L, strategy);
-  std::cout << core::render_warp(wa);
+  const u32 s = core::alignment_window_start(w, e, strategy);
+  const auto eval = core::evaluate_warp(wa, s);
+  std::cout << "Worst-case construction, w=" << w << ", E=" << e << " ("
+            << (regime == core::ERegime::small ? "small" : "large")
+            << " E, window starts at bank " << s << "):\n"
+            << core::render_warp(wa) << "aligned " << eval.aligned << " of "
+            << w * e << " elements; per-step serialization:";
+  for (const auto d : eval.step_degree) {
+    std::cout << ' ' << d;
+  }
+  std::cout << "\n\nconflict heatmap (threads per bank per iteration):\n"
+            << core::render_conflict_heatmap(wa);
   return 0;
 }
 
-/// True iff `cmd` names a wrappable subcommand (everything but help and
-/// profile itself).
-bool is_subcommand(const std::string& cmd) {
-  return cmd == "generate" || cmd == "evaluate" || cmd == "sort" ||
-         cmd == "inspect" || cmd == "analyze" || cmd == "prove" ||
-         cmd == "verify" || cmd == "visualize" || cmd == "campaign";
+int cmd_help(const Args& /*a*/) {
+  std::cout << kUsage;
+  return 0;
 }
 
-/// Route one subcommand invocation; `argv[1]` must be `cmd`.  Shared by
-/// run() and the profile wrapper, so `wcmgen profile <anything>` executes
-/// the exact same code path as the bare invocation.
-int dispatch(const std::string& cmd, int argc, char** argv) {
-  if (cmd == "campaign") {
-    // The spec file is the one positional operand in the CLI; everything
-    // else stays flag-style.
-    int first = 2;
-    std::string spec_path;
-    if (argc > 2 && std::string(argv[2]).rfind("--", 0) != 0) {
-      spec_path = argv[2];
-      first = 3;
+int cmd_profile(const Args& a);
+
+/// The one subcommand table: dispatch, the profile wrapper and the
+/// unknown-subcommand message all read it.
+const std::vector<Subcommand>& subcommands() {
+  static const std::vector<Subcommand> table = {
+      {.name = "generate",
+       .run = cmd_generate,
+       .options = {"E", "b", "w", "padding", "k", "seed", "strategy",
+                   "rounds", "out"},
+       .switches = {"intra", "csv"}},
+      {.name = "evaluate",
+       .run = cmd_evaluate,
+       .options = {"E", "w", "side", "strategy"}},
+      {.name = "sort",
+       .run = cmd_sort,
+       .options = {"E", "b", "w", "padding", "layout", "k", "seed", "input",
+                   "device", "library", "algorithm", "ways", "digit-bits",
+                   "trace-out"},
+       .switches = {"json"}},
+      {.name = "inspect", .run = cmd_inspect, .options = {"in"}},
+      {.name = "analyze",
+       .run = cmd_analyze,
+       .options = {"in", "pad", "layout"},
+       .switches = {"json", "no-cross-check"},
+       .max_operands = kAnyOperands},
+      {.name = "prove",
+       .run = cmd_prove,
+       .options = {"engine", "w", "b", "pad", "layout", "E-min", "E-max",
+                   "ways", "digit-bits", "bs", "pads", "trace"},
+       .switches = {"any-E", "json", "certify"}},
+      {.name = "verify",
+       .run = cmd_verify,
+       .options = {"engine", "ws", "b", "pad", "layout", "E-min", "E-max",
+                   "ways", "digit-bits"},
+       .switches = {"odd-E", "json", "no-differential"}},
+      {.name = "visualize",
+       .run = cmd_visualize,
+       .options = {"E", "w", "strategy"}},
+      {.name = "campaign",
+       .run = cmd_campaign,
+       .options = {"spec", "threads", "cache", "out", "trace-dir", "journal",
+                   "retries"},
+       .switches = {"no-cache", "quiet", "resume", "fail-fast"},
+       .max_operands = 1},
+      // serve parses with serve::parse_daemon_flags, shared with wcmd.
+      {.name = "serve", .run = cmd_serve, .wrappable = false, .raw = true},
+      {.name = "metrics",
+       .run = cmd_metrics,
+       .options = {"socket", "format", "timeout-ms"},
+       .wrappable = false},
+      {.name = "version", .run = cmd_version, .wrappable = false, .raw = true},
+      {.name = "profile", .run = cmd_profile, .wrappable = false, .raw = true},
+      {.name = "help", .run = cmd_help, .wrappable = false, .raw = true},
+  };
+  return table;
+}
+
+const Subcommand* find_subcommand(const std::string& name) {
+  for (const Subcommand& cmd : subcommands()) {
+    if (cmd.name == name) {
+      return &cmd;
     }
-    const Args cargs = parse(argc, argv, first);
-    if (cargs.flag("help")) {
-      std::cout << kUsage;
-      return 0;
-    }
-    return cmd_campaign(cargs, spec_path);
   }
-  const Args args = parse(argc, argv, 2);
+  return nullptr;
+}
+
+/// Route one subcommand invocation; `tokens` are the arguments after the
+/// subcommand name.  Shared by run() and the profile wrapper, so
+/// `wcmgen profile <anything>` executes the exact same code path as the
+/// bare invocation.
+int dispatch(const std::string& name, const std::vector<std::string>& tokens) {
+  const Subcommand* cmd = find_subcommand(name);
+  if (cmd == nullptr) {
+    std::vector<std::string> names;
+    for (const Subcommand& c : subcommands()) {
+      names.push_back(c.name);
+    }
+    throw parse_error("unknown subcommand '" + name +
+                      "' (valid: " + join_choices(names) + ")");
+  }
+  const Args args = parse(*cmd, tokens);
   if (args.flag("help")) {
     std::cout << kUsage;
     return 0;
   }
-  if (cmd == "generate") {
-    return cmd_generate(args);
-  }
-  if (cmd == "evaluate") {
-    return cmd_evaluate(args);
-  }
-  if (cmd == "sort") {
-    return cmd_sort(args);
-  }
-  if (cmd == "inspect") {
-    return cmd_inspect(args);
-  }
-  if (cmd == "analyze") {
-    return cmd_analyze(args);
-  }
-  if (cmd == "prove") {
-    return cmd_prove(args);
-  }
-  if (cmd == "verify") {
-    return cmd_verify(args);
-  }
-  if (cmd == "visualize") {
-    return cmd_visualize(args);
-  }
-  if (cmd == "serve") {
-    return cmd_serve(args);
-  }
-  if (cmd == "metrics") {
-    return cmd_metrics(args);
-  }
-  throw parse_error("unknown subcommand '" + cmd +
-                    "' (valid: generate, evaluate, sort, inspect, analyze, "
-                    "prove, verify, visualize, campaign, serve, metrics, "
-                    "version, profile, help)");
+  return cmd->run(args);
 }
 
-int cmd_profile(int argc, char** argv) {
+/// The flag set of profile's canned mode (no wrapped subcommand).
+const Subcommand kCannedProfile = {
+    .name = "profile",
+    .options = {"engine", "adversarial", "k", "seed", "device"},
+    .switches = {"json"}};
+
+int cmd_profile(const Args& wrapper) {
   // Peel off the profile-only flags; everything else is either a wrapped
   // subcommand invocation or the canned-adversarial flag set.
   std::string trace_out;
   std::string metrics_out;
   std::vector<std::string> rest;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
+  const std::vector<std::string>& tokens = wrapper.operands;
+  for (std::size_t i = 0; i < tokens.size(); ++i) {
+    const std::string& arg = tokens[i];
     if (arg == "--telemetry" || arg == "--metrics") {
-      if (i + 1 >= argc || std::string(argv[i + 1]).rfind("--", 0) == 0) {
+      if (i + 1 == tokens.size() || tokens[i + 1].rfind("--", 0) == 0) {
         throw parse_error("flag " + arg + " requires a file path");
       }
-      (arg == "--telemetry" ? trace_out : metrics_out) = argv[++i];
+      (arg == "--telemetry" ? trace_out : metrics_out) = tokens[++i];
     } else {
       rest.push_back(arg);
     }
@@ -833,25 +910,14 @@ int cmd_profile(int argc, char** argv) {
   }
 
   int code = 0;
-  if (!rest.empty() && is_subcommand(rest[0])) {
+  const Subcommand* wrapped =
+      rest.empty() ? nullptr : find_subcommand(rest.front());
+  if (wrapped != nullptr && wrapped->wrappable) {
     // Wrapped mode: re-dispatch the inner invocation untouched.
-    std::vector<char*> inner;
-    inner.push_back(argv[0]);
-    for (const std::string& r : rest) {
-      inner.push_back(const_cast<char*>(r.c_str()));
-    }
-    code = dispatch(rest[0], static_cast<int>(inner.size()), inner.data());
+    code = dispatch(rest.front(), {rest.begin() + 1, rest.end()});
   } else {
     // Canned mode: a worst-case sort in the requested E regime.
-    std::vector<char*> flat;
-    flat.push_back(argv[0]);
-    flat.push_back(const_cast<char*>("profile"));
-    for (const std::string& r : rest) {
-      flat.push_back(const_cast<char*>(r.c_str()));
-    }
-    const Args a = parse(static_cast<int>(flat.size()), flat.data(), 2);
-    a.require_known("profile",
-                    {"engine", "adversarial", "k", "seed", "device", "json"});
+    const Args a = parse(kCannedProfile, rest);
     const std::string engine = a.get("engine", "");
     if (engine.empty()) {
       throw parse_error(
@@ -913,18 +979,13 @@ int run(int argc, char** argv) {
     std::cerr << kUsage;
     return 2;
   }
-  const std::string cmd = argv[1];
-  if (cmd == "help" || cmd == "--help" || cmd == "-h") {
-    std::cout << kUsage;
-    return 0;
+  std::string cmd = argv[1];
+  if (cmd == "--help" || cmd == "-h") {
+    cmd = "help";
+  } else if (cmd == "--version" || cmd == "-V") {
+    cmd = "version";
   }
-  if (cmd == "version" || cmd == "--version" || cmd == "-V") {
-    return cmd_version();
-  }
-  if (cmd == "profile") {
-    return cmd_profile(argc, argv);
-  }
-  return dispatch(cmd, argc, argv);
+  return dispatch(cmd, {argv + 2, argv + argc});
 }
 
 }  // namespace

@@ -59,6 +59,7 @@ AnalysisReport analyze_trace(const gpusim::Trace& trace,
         gpusim::SharedLayout{trace.warp_size, options.pad, options.layout});
     report.affine_steps = strides.affine_steps;
     report.cross_checked = true;
+    report.replayed = strides.measured;
     std::move(strides.diagnostics.begin(), strides.diagnostics.end(),
               std::back_inserter(report.diagnostics));
   }
@@ -84,7 +85,10 @@ void render_text(std::ostream& os, const AnalysisReport& report,
      << " warning(s) over " << report.access_steps << " access step(s), "
      << report.barriers << " barrier(s)";
   if (report.cross_checked) {
-    os << "; " << report.affine_steps << " affine step(s) cross-checked";
+    os << "; " << report.affine_steps << " affine step(s) cross-checked"
+       << "; replayed serialization " << report.replayed.serialization
+       << " cycle(s), " << report.replayed.replays << " replay(s) over "
+       << report.replayed.requests << " access(es)";
   } else {
     os << "; stride cross-check skipped";
   }

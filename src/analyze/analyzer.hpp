@@ -35,6 +35,8 @@ struct AnalysisReport {
   std::size_t affine_steps = 0;
   /// False when structural errors forced the stride pass to be skipped.
   bool cross_checked = false;
+  /// Summed DMM replay cost under the options' layout (when cross_checked).
+  dmm::StepCost replayed;
 
   [[nodiscard]] std::size_t errors() const noexcept;
   [[nodiscard]] std::size_t warnings() const noexcept;

@@ -7,6 +7,18 @@
 
 namespace wcm::analyze {
 
+gpusim::Trace load_trace_file(const std::string& file) {
+  std::ifstream is(file);
+  if (!is) {
+    throw io_error("cannot open trace file", file);
+  }
+  try {
+    return gpusim::read_trace(is);
+  } catch (const parse_error& e) {
+    throw io_error(std::string("corrupt trace: ") + e.what(), file);
+  }
+}
+
 int run_lint(const std::vector<std::string>& files,
              const LintOptions& options, std::ostream& out,
              std::ostream& err) {
@@ -20,14 +32,10 @@ int run_lint(const std::vector<std::string>& files,
   for (const std::string& file : files) {
     gpusim::Trace trace;
     try {
-      std::ifstream is(file);
-      if (!is) {
-        throw io_error("cannot open trace file", file);
-      }
-      trace = gpusim::read_trace(is);
+      trace = load_trace_file(file);
     } catch (const error& e) {
-      // Unreadable or corrupt input is exit 3 regardless of which layer
-      // (io_error or parse_error) rejected it.
+      // Missing, unreadable or corrupt input is exit 3, whichever layer
+      // rejected it.
       err << file << ": error: " << e.what() << '\n';
       any_bad_file = true;
       continue;

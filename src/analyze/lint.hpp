@@ -1,7 +1,7 @@
 #pragma once
-// Shared driver behind `wcm-lint` and `wcmgen analyze`: load each trace
-// file, run the analyzer, render the findings, and fold everything into
-// one process exit code:
+// The driver behind `wcmgen analyze`: load each trace file, run the
+// analyzer, render the findings, and fold everything into one process exit
+// code:
 //
 //   0  every trace parsed and produced zero diagnostics
 //   1  at least one diagnostic (any severity) was reported
@@ -23,6 +23,10 @@ struct LintOptions {
   AnalyzeOptions analysis;
   bool json = false;
 };
+
+/// Read one WCMT/WCMT2 trace file.  Throws wcm::io_error (exit 3) when the
+/// file is missing, unreadable, or corrupt.
+[[nodiscard]] gpusim::Trace load_trace_file(const std::string& file);
 
 /// Lint `files` (each a WCMT/WCMT2 stream); reports go to `out`, file-level
 /// failures to `err`.  Returns the exit code described above.

@@ -210,6 +210,7 @@ StrideReport check_strides(const gpusim::Trace& trace,
       continue;
     }
     ++report.access_steps;
+    report.measured += measured[si];
     const AffineClass cls = classify_affine(step);
     if (cls.affine) {
       ++report.affine_steps;

@@ -68,6 +68,7 @@ struct StrideReport {
   std::vector<Diagnostic> diagnostics;  ///< stride-divergence findings
   std::size_t access_steps = 0;
   std::size_t affine_steps = 0;  ///< of which affine (incl. broadcasts)
+  dmm::StepCost measured;        ///< summed DMM replay cost of every step
 };
 
 /// Predict every step and cross-check against replay_step_costs under the

@@ -16,6 +16,7 @@
 #include <deque>
 #include <filesystem>
 #include <iostream>
+#include <limits>
 #include <list>
 #include <map>
 #include <memory>
@@ -36,6 +37,7 @@
 #include "util/check.hpp"
 #include "util/failpoint.hpp"
 #include "util/json.hpp"
+#include "util/parse.hpp"
 #include "util/version.hpp"
 
 namespace wcm::serve {
@@ -823,8 +825,77 @@ extern "C" void serve_on_signal(int) {
 
 }  // namespace
 
-int run_server(Server& server, bool quiet) {
-  if (quiet) {
+const char* const kDaemonFlagsUsage =
+    R"(  --socket           Unix-domain socket to serve on; a leading '@'
+                     selects the Linux abstract namespace (default @wcmd)
+  --data-dir         durable state: WCMS response cache + campaign
+                     journals (default: in-memory only)
+  --threads          scheduler workers (default WCM_THREADS, else 1)
+  --queue-max        admission queue bound before load-shedding (256)
+  --batch-max        max requests per scheduler batch (16)
+  --max-connections  concurrent client bound before load-shedding (64)
+  --eventlog         append structured JSONL request events with
+                     correlation ids (also WCM_EVENTLOG;
+                     docs/TELEMETRY.md "Request tracing")
+  --quiet            suppress startup/drain log lines
+)";
+
+DaemonOptions parse_daemon_flags(const std::vector<std::string>& args) {
+  DaemonOptions opts;
+  ServerConfig& cfg = opts.config;
+  for (std::size_t i = 0; i < args.size(); ++i) {
+    const std::string& arg = args[i];
+    if (arg == "--help" || arg == "-h") {
+      opts.help = true;
+      continue;
+    }
+    if (arg == "--version" || arg == "-V") {
+      opts.version = true;
+      continue;
+    }
+    if (arg == "--quiet") {
+      opts.quiet = true;
+      continue;
+    }
+    if (i + 1 >= args.size()) {
+      throw parse_error("flag " + arg + " requires a value");
+    }
+    const std::string& value = args[++i];
+    if (arg == "--socket") {
+      cfg.socket = value;
+    } else if (arg == "--eventlog") {
+      opts.eventlog = value;
+    } else if (arg == "--data-dir") {
+      cfg.data_dir = value;
+    } else if (arg == "--threads") {
+      cfg.threads = static_cast<u32>(parse_unsigned(
+          arg, value, std::numeric_limits<std::uint32_t>::max()));
+    } else if (arg == "--queue-max") {
+      cfg.queue_max = parse_unsigned(arg, value, 1 << 20);
+    } else if (arg == "--batch-max") {
+      cfg.batch_max = parse_unsigned(arg, value, 1 << 20);
+    } else if (arg == "--max-connections") {
+      cfg.max_connections = parse_unsigned(arg, value, 1 << 20);
+    } else {
+      throw parse_error("unknown flag '" + arg +
+                        "' (valid: --socket, --data-dir, --threads, "
+                        "--queue-max, --batch-max, --max-connections, "
+                        "--eventlog, --quiet)");
+    }
+  }
+  if (cfg.queue_max == 0 || cfg.batch_max == 0 || cfg.max_connections == 0) {
+    throw parse_error(
+        "--queue-max, --batch-max, and --max-connections must be >= 1");
+  }
+  return opts;
+}
+
+int run_server(const DaemonOptions& options) {
+  if (!options.eventlog.empty()) {
+    telemetry::eventlog::set_path(options.eventlog);
+  }
+  Server server(options.config);
+  if (options.quiet) {
     server.set_log(nullptr);
   }
   g_server.store(&server, std::memory_order_relaxed);
@@ -847,7 +918,7 @@ int run_server(Server& server, bool quiet) {
   sigaction(SIGINT, &old_int, nullptr);
   sigaction(SIGTERM, &old_term, nullptr);
   g_server.store(nullptr, std::memory_order_relaxed);
-  if (!quiet) {
+  if (!options.quiet) {
     std::cerr << "wcmd: drained requests=" << stats->requests
               << " responses=" << stats->responses
               << " shed=" << stats->shed << "\n";

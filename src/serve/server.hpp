@@ -24,6 +24,8 @@
 
 #include <iosfwd>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "runtime/scheduler.hpp"
 #include "serve/handlers.hpp"
@@ -67,12 +69,32 @@ class Server {
   std::unique_ptr<Impl> impl_;
 };
 
-/// Shared main() body of wcmd and `wcmgen serve`: install SIGINT/SIGTERM
-/// drain handlers (restored on return), serve, print the drain summary,
-/// and map the zero-drop invariant onto the exit code (0 when every read
-/// request got a response attempt, 5 otherwise).  Exceptions propagate
-/// for the caller's taxonomy mapping.
-int run_server(Server& server, bool quiet);
+/// The daemon's command line.  wcmd and `wcmgen serve` both read it with
+/// parse_daemon_flags, so the two accept exactly one flag set.
+struct DaemonOptions {
+  ServerConfig config;
+  std::string eventlog;  ///< --eventlog path; empty keeps WCM_EVENTLOG's
+  bool quiet = false;    ///< --quiet: no startup/drain log lines
+  bool help = false;     ///< --help / -h: print usage, serve nothing
+  bool version = false;  ///< --version / -V: print version, serve nothing
+};
+
+/// The flag synopsis parse_daemon_flags accepts, for the front ends'
+/// usage text.
+extern const char* const kDaemonFlagsUsage;
+
+/// Parse the daemon flags in `args` (argv without the program or
+/// subcommand name).  Throws wcm::parse_error on an unknown flag, a
+/// missing or malformed value, or a zero queue/batch/connection bound.
+[[nodiscard]] DaemonOptions parse_daemon_flags(
+    const std::vector<std::string>& args);
+
+/// Shared main() body of wcmd and `wcmgen serve`: apply --eventlog, build
+/// the Server, install SIGINT/SIGTERM drain handlers (restored on return),
+/// serve, print the drain summary, and map the zero-drop invariant onto
+/// the exit code (0 when every read request got a response attempt, 5
+/// otherwise).  Exceptions propagate for the caller's taxonomy mapping.
+int run_server(const DaemonOptions& options);
 
 namespace detail {
 // The daemon's failpoint sites, as free functions so the fault-injection

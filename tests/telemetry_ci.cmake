@@ -156,4 +156,21 @@ run_profile(env_out env_err ${CMAKE_COMMAND} -E env
             ${WCMGEN} sort --E 5 --b 64 --k 2 --input worst-case)
 check_trace(${env_trace})
 
+# 5. Wrapping runs the bare subcommand's code path: `profile analyze`
+#    prints exactly the bare `analyze` report, then the metrics table.
+set(lint_trace ${WORKDIR}/profiled.wcmt)
+run_profile(rec_out rec_err ${WCMGEN} sort --E 5 --b 64 --k 1
+            --input random --trace-out ${lint_trace})
+run_profile(bare_out bare_err ${WCMGEN} analyze ${lint_trace})
+run_profile(wrapped_out wrapped_err ${WCMGEN} profile analyze ${lint_trace})
+string(FIND "${wrapped_out}" "${bare_out}--- telemetry metrics ---" at)
+if(NOT at EQUAL 0)
+  message(FATAL_ERROR "profile analyze diverges from bare analyze
+"
+                      "bare:
+${bare_out}
+wrapped:
+${wrapped_out}")
+endif()
+
 file(REMOVE_RECURSE ${WORKDIR})

@@ -330,5 +330,36 @@ TEST(ServeDaemon, DrainBalancesRequestsAndResponsesUnderTraffic) {
   EXPECT_EQ(stats.requests, stats.responses);  // the zero-drop invariant
 }
 
+// wcmd and `wcmgen serve` share this parser, so one flag set reaches the
+// ServerConfig either way.
+TEST(ServeDaemonFlags, ParsesTheSharedFlagSet) {
+  const DaemonOptions opts = parse_daemon_flags(
+      {"--socket", "@x", "--data-dir", "d", "--threads", "3", "--queue-max",
+       "7", "--batch-max", "5", "--max-connections", "9", "--eventlog",
+       "e.jsonl", "--quiet"});
+  EXPECT_EQ(opts.config.socket, "@x");
+  EXPECT_EQ(opts.config.data_dir, "d");
+  EXPECT_EQ(opts.config.threads, 3U);
+  EXPECT_EQ(opts.config.queue_max, 7U);
+  EXPECT_EQ(opts.config.batch_max, 5U);
+  EXPECT_EQ(opts.config.max_connections, 9U);
+  EXPECT_EQ(opts.eventlog, "e.jsonl");
+  EXPECT_TRUE(opts.quiet);
+  EXPECT_FALSE(opts.help || opts.version);
+  EXPECT_TRUE(parse_daemon_flags({"-h"}).help);
+  EXPECT_TRUE(parse_daemon_flags({"--version"}).version);
+}
+
+TEST(ServeDaemonFlags, RejectsUnknownMissingMalformedAndZero) {
+  for (const std::vector<std::string>& bad :
+       {std::vector<std::string>{"--no-such-flag", "x"},
+        std::vector<std::string>{"--socket"},
+        std::vector<std::string>{"--threads", "-1"},
+        std::vector<std::string>{"--queue-max", "0"},
+        std::vector<std::string>{"--batch-max", "2097152"}}) {
+    EXPECT_THROW((void)parse_daemon_flags(bad), parse_error) << bad.front();
+  }
+}
+
 }  // namespace
 }  // namespace wcm::serve

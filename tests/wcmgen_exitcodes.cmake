@@ -35,6 +35,8 @@ expect_exit(2 ${WCMGEN} sort --E 5 --b 64 --layout nope)
 expect_exit(2 ${WCMGEN} prove --layout nope)
 expect_exit(2 ${WCMGEN} prove --certify --bs 64x)
 expect_exit(2 ${WCMGEN} prove --bs 64,128)  # grid axes need --certify
+expect_exit(2 ${WCMGEN} generate --E 5 --b 64 stray)  # takes no operands
+expect_exit(2 ${WCMGEN} generate --E 5 --b 64 --out)  # value missing
 
 # The unknown-engine diagnostic of every front end must enumerate the one
 # engine table (sort/registry.hpp feeds the error, all_engines(), the
@@ -111,6 +113,15 @@ endforeach()
 # factor with w = 32) is configuration too.
 expect_exit(4 ${WCMGEN} sort --E 4 --b 64 --k 1)
 expect_exit(4 ${WCMGEN} generate --E 4 --b 64 --k 1)
+# evaluate scores the construction, so an E or w outside its domain is
+# configuration too; visualize falls back to sorted order (Figure 1) for
+# any 1 <= E <= w.
+expect_exit(4 ${WCMGEN} evaluate --E 12 --w 16)
+expect_exit(4 ${WCMGEN} evaluate --E 2 --w 32)
+expect_exit(4 ${WCMGEN} evaluate --E 5 --w 0)
+expect_exit(0 ${WCMGEN} visualize --E 12 --w 16)
+expect_exit(4 ${WCMGEN} visualize --E 40 --w 32)
+expect_exit(4 ${WCMGEN} visualize --E 5 --w 0)
 
 # bad input file -> 3
 expect_exit(3 ${WCMGEN} inspect --in ${WORKDIR}/definitely-missing.wcmi)
@@ -125,6 +136,8 @@ expect_exit(0 ${WCMGEN} analyze --in ${WORKDIR}/exitcode_clean.wcmt)
 expect_exit(0 ${WCMGEN} analyze --in ${WORKDIR}/exitcode_clean.wcmt --json)
 file(WRITE ${WORKDIR}/exitcode_racy.wcmt "WCMT2 32 64 3\nF 0 64\nW 0:5\nR 1:5\n")
 expect_exit(1 ${WCMGEN} analyze --in ${WORKDIR}/exitcode_racy.wcmt)
+expect_exit(1 ${WCMGEN} analyze ${WORKDIR}/exitcode_clean.wcmt
+            --in ${WORKDIR}/exitcode_racy.wcmt)
 file(WRITE ${WORKDIR}/exitcode_corrupt.wcmt "WCMT2 32 64 1\nR 99:0\n")
 expect_exit(3 ${WCMGEN} analyze --in ${WORKDIR}/exitcode_corrupt.wcmt)
 expect_exit(3 ${WCMGEN} analyze --in ${WORKDIR}/definitely-missing.wcmt)
