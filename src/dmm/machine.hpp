@@ -64,6 +64,23 @@ class Machine {
   [[nodiscard]] const MachineStats& stats() const noexcept { return stats_; }
   void reset_stats() noexcept { stats_ = {}; }
 
+  /// Begin measuring one phase of steps: returns the running totals and
+  /// zeroes them, so stats() counts the phase alone — its own
+  /// max_bank_degree included, which no difference of two running
+  /// snapshots can give.
+  [[nodiscard]] MachineStats begin_phase() noexcept {
+    const MachineStats before = stats_;
+    stats_ = {};
+    return before;
+  }
+  /// End the phase whose begin_phase() returned `before`: returns the
+  /// phase's own stats and restores the running totals to before + phase.
+  MachineStats end_phase(const MachineStats& before) noexcept {
+    const MachineStats phase = stats_;
+    stats_ += before;
+    return phase;
+  }
+
  private:
   std::size_t w_;
   std::vector<word> mem_;

@@ -82,6 +82,13 @@ class SharedMemory {
     return machine_.stats();
   }
   void reset_stats() noexcept { machine_.reset_stats(); }
+  /// Per-phase stats (dmm::Machine::begin_phase / end_phase).
+  [[nodiscard]] dmm::MachineStats begin_phase() noexcept {
+    return machine_.begin_phase();
+  }
+  dmm::MachineStats end_phase(const dmm::MachineStats& before) noexcept {
+    return machine_.end_phase(before);
+  }
 
   /// Attach an access-trace recorder (see gpusim/trace.hpp); nullptr
   /// detaches.  The recorder adopts this memory's warp size and word count

@@ -1,11 +1,9 @@
 #include "runtime/thread_pool.hpp"
 
 #include <algorithm>
-#include <charconv>
-#include <cstdlib>
-#include <string>
 
 #include "util/check.hpp"
+#include "util/parallel.hpp"
 
 namespace wcm::runtime {
 
@@ -38,6 +36,7 @@ void ThreadPool::submit(std::function<void()> task) {
 }
 
 void ThreadPool::worker_loop() {
+  no_nested_fan_out();  // pool workers already fill the host's cores
   while (true) {
     std::function<void()> task;
     {
@@ -67,24 +66,6 @@ u32 recommended_workers(u32 requested, const gpusim::Device& dev,
   }
   const u32 device_parallelism = occ.resident_blocks * dev.sm_count;
   return std::max(1u, std::min(host, device_parallelism));
-}
-
-u32 threads_from_env(u32 fallback) {
-  // NOLINTNEXTLINE(concurrency-mt-unsafe): read-only env probe; nothing
-  // in the process calls setenv.
-  const char* env = std::getenv("WCM_THREADS");
-  if (env == nullptr || *env == '\0') {
-    return fallback;
-  }
-  u32 value = 0;
-  const std::string text(env);
-  const auto [ptr, err] =
-      std::from_chars(text.data(), text.data() + text.size(), value);
-  if (err != std::errc() || ptr != text.data() + text.size() || value > 4096) {
-    throw parse_error("invalid WCM_THREADS value '" + text +
-                      "' (expected an integer 0..4096)");
-  }
-  return value == 0 ? fallback : value;
 }
 
 }  // namespace wcm::runtime

@@ -8,6 +8,10 @@
 // try/catch and records the outcome, so an exception escaping a pool task
 // is a programming error (std::terminate, same as an exception escaping a
 // thread).
+//
+// Workers are marked with wcm::no_nested_fan_out() (util/parallel.hpp):
+// a sort simulated on a worker runs its thread blocks inline instead of
+// starting helpers of its own.
 
 #include <condition_variable>
 #include <cstddef>
@@ -19,6 +23,7 @@
 
 #include "gpusim/occupancy.hpp"
 #include "util/math.hpp"
+#include "util/parse.hpp"
 
 namespace wcm::runtime {
 
@@ -67,8 +72,7 @@ class ThreadPool {
                                       u32 threads_per_block,
                                       std::size_t shared_bytes_per_block);
 
-/// Strictly-parsed WCM_THREADS environment override; `fallback` when the
-/// variable is unset or empty.  Throws wcm::parse_error on garbage.
-[[nodiscard]] u32 threads_from_env(u32 fallback = 0);
+/// Strictly-parsed WCM_THREADS environment override (util/parse.hpp).
+using wcm::threads_from_env;
 
 }  // namespace wcm::runtime

@@ -4,9 +4,9 @@
 #include <numeric>
 
 #include "gpusim/shared_memory.hpp"
-#include "sort/blocksort.hpp"
 #include "sort/describe.hpp"
 #include "sort/pairwise_sort.hpp"
+#include "sort/rounds.hpp"
 #include "telemetry/span.hpp"
 #include "util/check.hpp"
 #include "util/failpoint.hpp"
@@ -124,7 +124,7 @@ void account_kway_searches(gpusim::SharedMemory& shm,
                            gpusim::KernelStats& stats) {
   const std::size_t runs = ctxs.empty() ? 0 : ctxs[0].segs.size();
   std::vector<gpusim::LaneRead> probes;
-  const auto before = shm.stats();
+  const auto before = shm.begin_phase();
   for (std::size_t warp_start = 0; warp_start < ctxs.size();
        warp_start += w) {
     const std::size_t warp_end =
@@ -161,16 +161,7 @@ void account_kway_searches(gpusim::SharedMemory& shm,
       }
     }
   }
-  const auto after = shm.stats();
-  gpusim::KernelStats delta;
-  delta.shared_search.steps = after.steps - before.steps;
-  delta.shared_search.requests = after.requests - before.requests;
-  delta.shared_search.serialization_cycles =
-      after.serialization_cycles - before.serialization_cycles;
-  delta.shared_search.replays = after.replays - before.replays;
-  delta.shared_search.conflicting_accesses =
-      after.conflicting_accesses - before.conflicting_accesses;
-  stats.shared_search += delta.shared_search;
+  stats.shared_search += shm.end_phase(before);
 }
 
 /// Lock-step K-way merge: at each of E iterations every thread consumes the
@@ -196,7 +187,7 @@ std::vector<word> simulate_kway_merge(gpusim::SharedMemory& shm,
                             ? 1
                             : floor_log2(2 * ctxs[0].segs.size() - 1);
 
-  const auto before = shm.stats();
+  const auto before = shm.begin_phase();
   std::vector<gpusim::LaneRead> reads;
   for (std::size_t warp_start = 0; warp_start < t; warp_start += w) {
     const std::size_t warp_end = std::min<std::size_t>(warp_start + w, t);
@@ -224,16 +215,7 @@ std::vector<word> simulate_kway_merge(gpusim::SharedMemory& shm,
     }
     stats.warp_merge_steps += static_cast<std::size_t>(E) * sel_depth;
   }
-  const auto after = shm.stats();
-  gpusim::KernelStats delta;
-  delta.shared_merge_reads.steps = after.steps - before.steps;
-  delta.shared_merge_reads.requests = after.requests - before.requests;
-  delta.shared_merge_reads.serialization_cycles =
-      after.serialization_cycles - before.serialization_cycles;
-  delta.shared_merge_reads.replays = after.replays - before.replays;
-  delta.shared_merge_reads.conflicting_accesses =
-      after.conflicting_accesses - before.conflicting_accesses;
-  stats.shared_merge_reads += delta.shared_merge_reads;
+  stats.shared_merge_reads += shm.end_phase(before);
 
   // Barrier, thread-contiguous write-back, barrier before unstaging reads.
   shm.barrier();
@@ -253,121 +235,152 @@ std::vector<word> simulate_kway_merge(gpusim::SharedMemory& shm,
   return regs;
 }
 
-/// Merge one group of K runs into `out`, one block per bE output tile.
-void simulate_group_merge(const std::vector<std::span<const word>>& runs,
-                          std::span<word> out, const SortConfig& cfg,
-                          gpusim::SharedMemory& shm,
-                          gpusim::KernelStats& stats) {
-  const std::size_t tile = cfg.tile();
-  const u32 E = cfg.E;
-  const u32 b = cfg.b;
-  const u32 w = cfg.w;
+/// One block of a global K-way round: `ways` source segments, starting at
+/// `ranges[first]`, as absolute [begin, end) positions in the round's
+/// input, and the start of its output tile.
+struct KwayTile {
+  std::size_t first = 0;
+  std::size_t ways = 0;
+  std::size_t out = 0;
+};
+
+/// One worker's reusable per-block buffers.
+struct alignas(kWorkerAlign) KwayScratch {
+  std::vector<ThreadKCtx> ctxs;
+  std::vector<word> staged;
+  std::vector<std::pair<std::size_t, std::size_t>> seg_addr;
+  std::vector<std::span<const word>> segs;
+  std::vector<std::vector<std::size_t>> tsplit;
+  std::vector<gpusim::LaneWrite> writes;
+  std::vector<gpusim::LaneRead> reads;
+};
+
+/// Partitioning stage of one group of K runs starting at absolute position
+/// `base`: K-way co-ranks at every tile boundary, charged to `stats`.
+/// Appends the group's blocks to `tiles` and their segments to `ranges`.
+void partition_group(const std::vector<std::span<const word>>& runs,
+                     std::size_t base, std::size_t tile,
+                     gpusim::KernelStats& stats, std::vector<KwayTile>& tiles,
+                     std::vector<std::pair<std::size_t, std::size_t>>& ranges) {
   std::size_t total = 0;
   for (const auto& r : runs) {
     total += r.size();
   }
   WCM_EXPECTS(total % tile == 0, "group size must be a multiple of bE");
 
-  // Partitioning stage: K-way co-ranks at every tile boundary.
-  std::vector<std::vector<std::size_t>> boundary;
-  for (std::size_t diag = 0; diag <= total; diag += tile) {
-    std::size_t steps = 0;
-    boundary.push_back(kway_corank(runs, diag, steps));
+  std::size_t steps = 0;
+  std::vector<std::size_t> lo = kway_corank(runs, 0, steps);
+  for (std::size_t diag = tile; diag <= total; diag += tile) {
+    steps = 0;
+    std::vector<std::size_t> hi = kway_corank(runs, diag, steps);
     stats.binary_search_steps += steps;
     stats.global_requests += steps * runs.size();
     stats.global_transactions += steps * runs.size();
-  }
-
-  std::vector<ThreadKCtx> ctxs(b);
-  std::vector<gpusim::LaneWrite> writes;
-  std::vector<gpusim::LaneRead> reads;
-  for (std::size_t tidx = 0; tidx + 1 < boundary.size(); ++tidx) {
-    const auto& lo = boundary[tidx];
-    const auto& hi = boundary[tidx + 1];
-
-    // Block boundary between consecutive simulated tiles.
-    shm.barrier();
-
-    // Stage the tile: segment k at the shared offset of the cumulative
-    // segment sizes; remember the staged copy for the thread searches.
-    std::vector<word> staged;
-    std::vector<std::pair<std::size_t, std::size_t>> seg_addr(runs.size());
-    staged.reserve(tile);
+    tiles.push_back({ranges.size(), runs.size(), base + diag - tile});
+    std::size_t run_base = base;
     for (std::size_t k = 0; k < runs.size(); ++k) {
-      const std::size_t begin = staged.size();
-      staged.insert(staged.end(),
-                    runs[k].begin() + static_cast<std::ptrdiff_t>(lo[k]),
-                    runs[k].begin() + static_cast<std::ptrdiff_t>(hi[k]));
-      seg_addr[k] = {begin, staged.size()};
-      stats.global_transactions += (hi[k] - lo[k] + w - 1) / w + 1;
+      ranges.emplace_back(run_base + lo[k], run_base + hi[k]);
+      run_base += runs[k].size();
     }
-    WCM_ENSURES(staged.size() == tile, "tile staging mismatch");
-    shm.fill(staged);
-    stats.global_requests += tile;
-    for (u32 warp_start = 0; warp_start < b; warp_start += w) {
-      for (u32 s = 0; s < E; ++s) {
-        writes.clear();
-        for (u32 lane = 0; lane < w; ++lane) {
-          const std::size_t addr =
-              static_cast<std::size_t>(warp_start + lane) +
-              static_cast<std::size_t>(s) * b;
-          if (addr < tile) {
-            writes.push_back({lane, addr, shm.peek(addr)});
-          }
-        }
-        shm.warp_write(writes);
-      }
-    }
-    // __syncthreads: the quantile searches probe other threads' staging.
-    shm.barrier();
-
-    // Per-thread quantiles within the staged tile.
-    std::vector<std::span<const word>> segs(runs.size());
-    for (std::size_t k = 0; k < runs.size(); ++k) {
-      segs[k] = std::span<const word>(staged).subspan(
-          seg_addr[k].first, seg_addr[k].second - seg_addr[k].first);
-    }
-    std::vector<std::vector<std::size_t>> tsplit(b + 1);
-    for (u32 t = 0; t <= b; ++t) {
-      std::size_t steps = 0;
-      tsplit[t] = kway_corank(segs, static_cast<std::size_t>(t) * E, steps);
-    }
-    for (u32 t = 0; t < b; ++t) {
-      ctxs[t].segs.assign(runs.size(), {});
-      for (std::size_t k = 0; k < runs.size(); ++k) {
-        ctxs[t].segs[k] = {seg_addr[k].first + tsplit[t][k],
-                           seg_addr[k].first + tsplit[t + 1][k]};
-      }
-      ctxs[t].out_begin = static_cast<std::size_t>(t) * E;
-    }
-    account_kway_searches(shm, ctxs, w, stats);
-
-    simulate_kway_merge(shm, ctxs, E, stats);
-
-    // Coalesced store (conflict-free unstaging reads, as in the pairwise
-    // engine).
-    for (u32 warp_start = 0; warp_start < b; warp_start += w) {
-      for (u32 s = 0; s < E; ++s) {
-        reads.clear();
-        for (u32 lane = 0; lane < w; ++lane) {
-          const std::size_t addr =
-              static_cast<std::size_t>(warp_start + lane) +
-              static_cast<std::size_t>(s) * b;
-          if (addr < tile) {
-            reads.push_back({lane, addr});
-          }
-        }
-        shm.warp_read(reads);
-      }
-    }
-    const auto merged = shm.dump(0, tile);
-    std::copy(merged.begin(), merged.end(),
-              out.begin() + static_cast<std::ptrdiff_t>(tidx * tile));
-    stats.global_transactions += tile / w;
-    stats.global_requests += tile;
-    stats.blocks_launched += 1;
-    stats.elements_processed += tile;
+    lo = std::move(hi);
   }
+}
+
+/// Simulate one thread block of a global K-way round: merge its segments of
+/// `data` into its output tile of `out`.
+void simulate_kway_tile(
+    std::span<const word> data,
+    std::span<const std::pair<std::size_t, std::size_t>> ranges,
+    std::size_t out_pos, std::span<word> out, const SortConfig& cfg,
+    gpusim::SharedMemory& shm, KwayScratch& scratch,
+    gpusim::KernelStats& stats) {
+  const std::size_t tile = cfg.tile();
+  const u32 E = cfg.E;
+  const u32 b = cfg.b;
+  const u32 w = cfg.w;
+  const std::size_t ways = ranges.size();
+  auto& [ctxs, staged, seg_addr, segs, tsplit, writes, reads] = scratch;
+
+  // Block boundary between consecutive simulated tiles.
+  shm.barrier();
+
+  // Stage the tile: segment k at the shared offset of the cumulative
+  // segment sizes; remember the staged copy for the thread searches.
+  staged.clear();
+  seg_addr.resize(ways);
+  for (std::size_t k = 0; k < ways; ++k) {
+    const auto [lo, hi] = ranges[k];
+    const std::size_t begin = staged.size();
+    staged.insert(staged.end(), data.begin() + static_cast<std::ptrdiff_t>(lo),
+                  data.begin() + static_cast<std::ptrdiff_t>(hi));
+    seg_addr[k] = {begin, staged.size()};
+    stats.global_transactions += (hi - lo + w - 1) / w + 1;
+  }
+  WCM_ENSURES(staged.size() == tile, "tile staging mismatch");
+  shm.fill(staged);
+  stats.global_requests += tile;
+  for (u32 warp_start = 0; warp_start < b; warp_start += w) {
+    for (u32 s = 0; s < E; ++s) {
+      writes.clear();
+      for (u32 lane = 0; lane < w; ++lane) {
+        const std::size_t addr = static_cast<std::size_t>(warp_start + lane) +
+                                 static_cast<std::size_t>(s) * b;
+        if (addr < tile) {
+          writes.push_back({lane, addr, shm.peek(addr)});
+        }
+      }
+      shm.warp_write(writes);
+    }
+  }
+  // __syncthreads: the quantile searches probe other threads' staging.
+  shm.barrier();
+
+  // Per-thread quantiles within the staged tile.
+  segs.resize(ways);
+  for (std::size_t k = 0; k < ways; ++k) {
+    segs[k] = std::span<const word>(staged).subspan(
+        seg_addr[k].first, seg_addr[k].second - seg_addr[k].first);
+  }
+  tsplit.resize(b + 1);
+  for (u32 t = 0; t <= b; ++t) {
+    std::size_t steps = 0;
+    tsplit[t] = kway_corank(segs, static_cast<std::size_t>(t) * E, steps);
+  }
+  ctxs.resize(b);
+  for (u32 t = 0; t < b; ++t) {
+    ctxs[t].segs.resize(ways);
+    for (std::size_t k = 0; k < ways; ++k) {
+      ctxs[t].segs[k] = {seg_addr[k].first + tsplit[t][k],
+                         seg_addr[k].first + tsplit[t + 1][k]};
+    }
+    ctxs[t].out_begin = static_cast<std::size_t>(t) * E;
+  }
+  account_kway_searches(shm, ctxs, w, stats);
+
+  simulate_kway_merge(shm, ctxs, E, stats);
+
+  // Coalesced store (conflict-free unstaging reads, as in the pairwise
+  // engine).
+  for (u32 warp_start = 0; warp_start < b; warp_start += w) {
+    for (u32 s = 0; s < E; ++s) {
+      reads.clear();
+      for (u32 lane = 0; lane < w; ++lane) {
+        const std::size_t addr = static_cast<std::size_t>(warp_start + lane) +
+                                 static_cast<std::size_t>(s) * b;
+        if (addr < tile) {
+          reads.push_back({lane, addr});
+        }
+      }
+      shm.warp_read(reads);
+    }
+  }
+  for (std::size_t i = 0; i < tile; ++i) {
+    out[out_pos + i] = shm.peek(i);
+  }
+  stats.global_transactions += tile / w;
+  stats.global_requests += tile;
+  stats.blocks_launched += 1;
+  stats.elements_processed += tile;
 }
 
 }  // namespace
@@ -396,36 +409,20 @@ SortReport multiway_merge_sort(std::span<const word> input,
 
   std::vector<word> data(input.begin(), input.end());
   std::vector<word> buffer(n);
-  gpusim::SharedMemory shm(
-      gpusim::SharedLayout{cfg.w, cfg.padding, cfg.layout}, tile);
-  shm.attach_trace(cfg.trace_sink);
+  BlockFanOut fan_out(cfg, n / tile);
+  std::vector<KwayScratch> scratch(fan_out.width());
+  std::vector<KwayTile> tiles;
+  std::vector<std::pair<std::size_t, std::size_t>> ranges;
 
   WCM_SPAN("multiway.sort");
 
-  // Base case: identical to the pairwise sort.
   {
     WCM_SPAN("multiway.block_sort");
-    gpusim::KernelStats stats;
-    for (std::size_t base = 0; base < n; base += tile) {
-      shm.reset_stats();
-      simulate_block_sort(shm, std::span<word>(data).subspan(base, tile), cfg,
-                          stats);
-      stats.shared += shm.stats();
-      stats.blocks_launched += 1;
-      stats.elements_processed += tile;
-    }
-    gpusim::RoundStats round;
-    round.name = "block-sort";
-    round.kernel = stats;
-    round.modeled_seconds =
-        gpusim::estimate_kernel_time(dev, launch, stats, cal).seconds;
-    gpusim::record_round_telemetry("multiway", round.name, cfg.E, cfg.padding,
-                                   stats);
-    report.totals += stats;
-    report.total_time += gpusim::estimate_kernel_time(dev, launch, stats, cal);
-    report.rounds.push_back(std::move(round));
+    block_sort_round(data, fan_out, "multiway", launch, cal, report);
   }
 
+  // Global K-way rounds: every group is partitioned on this thread, then
+  // the blocks of all groups fan out together.
   std::size_t run = tile;
   u32 round_idx = 0;
   while (run < n) {
@@ -434,13 +431,14 @@ SortReport multiway_merge_sort(std::span<const word> input,
     WCM_FAILPOINT("sort.multiway.round", simulation_error,
                   "injected mid-round invariant break");
     gpusim::KernelStats stats;
+    tiles.clear();
+    ranges.clear();
     const std::size_t group_out = run * ways;
     for (std::size_t base = 0; base < n; base += group_out) {
       std::vector<std::span<const word>> runs;
       std::size_t group_size = 0;
       for (u32 k = 0; k < ways && base + group_size < n; ++k) {
-        const std::size_t len =
-            std::min(run, n - base - group_size);
+        const std::size_t len = std::min(run, n - base - group_size);
         runs.push_back(
             std::span<const word>(data).subspan(base + group_size, len));
         group_size += len;
@@ -452,26 +450,21 @@ SortReport multiway_merge_sort(std::span<const word> input,
         stats.global_requests += 2 * runs[0].size();
         continue;
       }
-      shm.reset_stats();
-      gpusim::KernelStats group_stats;
-      simulate_group_merge(
-          runs, std::span<word>(buffer).subspan(base, group_size), cfg, shm,
-          group_stats);
-      group_stats.shared += shm.stats();
-      stats += group_stats;
+      partition_group(runs, base, tile, stats, tiles, ranges);
     }
+    stats += fan_out.run(
+        tiles.size(), [&](std::size_t block, u32 worker,
+                          gpusim::SharedMemory& shm,
+                          gpusim::KernelStats& block_stats) {
+          const KwayTile& t = tiles[block];
+          simulate_kway_tile(
+              data, std::span(ranges).subspan(t.first, t.ways), t.out, buffer,
+              cfg, shm, scratch[worker], block_stats);
+        });
     data.swap(buffer);
-
-    gpusim::RoundStats round;
-    round.name = "multiway round " + std::to_string(round_idx);
-    round.kernel = stats;
-    round.modeled_seconds =
-        gpusim::estimate_kernel_time(dev, launch, stats, cal).seconds;
-    gpusim::record_round_telemetry("multiway", round.name, cfg.E, cfg.padding,
-                                   stats);
-    report.totals += stats;
-    report.total_time += gpusim::estimate_kernel_time(dev, launch, stats, cal);
-    report.rounds.push_back(std::move(round));
+    append_round(report, "multiway",
+                 "multiway round " + std::to_string(round_idx), stats, launch,
+                 cal);
     run = group_out;
   }
 

@@ -6,8 +6,8 @@
 
 #include "mergepath/partition.hpp"
 #include "sort/block_merge.hpp"
-#include "sort/blocksort.hpp"
 #include "sort/describe.hpp"
+#include "sort/rounds.hpp"
 #include "telemetry/span.hpp"
 #include "util/check.hpp"
 #include "util/failpoint.hpp"
@@ -48,110 +48,130 @@ std::size_t coalesced_transactions(std::size_t base, std::size_t count,
   return last - first + 1;
 }
 
-/// Merge one pair of sorted runs (in `data`) into `out`, one simulated
-/// thread block per bE-element output tile.
-void simulate_pair_merge(std::span<const word> data_a,
-                         std::span<const word> data_b, std::size_t a_base,
-                         std::size_t b_base, std::span<word> out,
-                         const SortConfig& cfg, gpusim::SharedMemory& shm,
-                         gpusim::KernelStats& stats) {
+/// One block of a global merge round: its A and B segments, as absolute
+/// positions in the round's input, and the start of its output tile.
+struct PairTile {
+  std::size_t a = 0;
+  std::size_t na = 0;
+  std::size_t b = 0;
+  std::size_t nb = 0;
+  std::size_t out = 0;
+};
+
+/// One worker's reusable per-block buffers.
+struct alignas(kWorkerAlign) PairScratch {
+  std::vector<ThreadSearchCtx> search_ctxs;
+  std::vector<ThreadMergeCtx> merge_ctxs;
+  std::vector<gpusim::LaneWrite> writes;
+  std::vector<gpusim::LaneRead> reads;
+};
+
+/// Partitioning stage of one pair of sorted runs (absolute positions
+/// `a_base` and `b_base` of `data`): mutual binary search in global memory
+/// for every tile boundary (one dependent probe chain per thread block),
+/// charged to `stats`.  Appends the pair's blocks to `tiles`.
+void partition_pair(std::span<const word> data, std::size_t a_base,
+                    std::size_t len_a, std::size_t b_base, std::size_t len_b,
+                    std::size_t tile, gpusim::KernelStats& stats,
+                    std::vector<PairTile>& tiles) {
+  const auto part = mergepath::partition_tiles(
+      data.subspan(a_base, len_a), data.subspan(b_base, len_b), tile);
+  stats.binary_search_steps += part.search_steps;
+  stats.global_requests += 2 * part.search_steps;
+  stats.global_transactions += 2 * part.search_steps;  // uncoalesced probes
+  for (std::size_t tidx = 0; tidx + 1 < part.splits.size(); ++tidx) {
+    const auto [a_lo, b_lo] = part.splits[tidx];
+    const auto [a_hi, b_hi] = part.splits[tidx + 1];
+    tiles.push_back({a_base + a_lo, a_hi - a_lo, b_base + b_lo, b_hi - b_lo,
+                     a_base + tidx * tile});
+  }
+}
+
+/// Simulate one thread block of a global merge round: merge its A and B
+/// segments of `data` into its output tile of `out`.
+void simulate_pair_tile(std::span<const word> data, const PairTile& blk,
+                        std::span<word> out, const SortConfig& cfg,
+                        gpusim::SharedMemory& shm, PairScratch& scratch,
+                        gpusim::KernelStats& stats) {
   const std::size_t tile = cfg.tile();
   const u32 E = cfg.E;
   const u32 b = cfg.b;
   const u32 w = cfg.w;
+  const std::size_t na = blk.na;
+  const std::size_t nb = blk.nb;
+  auto& [search_ctxs, merge_ctxs, writes, reads] = scratch;
+  search_ctxs.resize(b);
+  merge_ctxs.resize(b);
 
-  // Partitioning stage: mutual binary search in global memory for every
-  // tile boundary (one dependent probe chain per thread block).
-  const auto part = mergepath::partition_tiles(data_a, data_b, tile);
-  stats.binary_search_steps += part.search_steps;
-  stats.global_requests += 2 * part.search_steps;
-  stats.global_transactions += 2 * part.search_steps;  // uncoalesced probes
+  // Block boundary between consecutive simulated tiles.
+  shm.barrier();
 
-  std::vector<ThreadSearchCtx> search_ctxs(b);
-  std::vector<ThreadMergeCtx> merge_ctxs(b);
-  std::vector<gpusim::LaneWrite> writes;
-  std::vector<gpusim::LaneRead> reads;
-
-  const std::size_t tiles = (data_a.size() + data_b.size()) / tile;
-  for (std::size_t tidx = 0; tidx < tiles; ++tidx) {
-    const auto [a_lo, b_lo] = part.splits[tidx];
-    const auto [a_hi, b_hi] = part.splits[tidx + 1];
-    const std::size_t na = a_hi - a_lo;
-    const std::size_t nb = b_hi - b_lo;
-
-    // Block boundary between consecutive simulated tiles.
-    shm.barrier();
-
-    // Stage the tile in shared memory: A segment at [0, na), B segment at
-    // [na, na + nb).  Global side is coalesced; the shared-side stores go
-    // through the banked memory (thread t stores elements t, t+b, ...).
-    shm.fill(data_a.subspan(a_lo, na), 0);
-    shm.fill(data_b.subspan(b_lo, nb), na);
-    stats.global_transactions += coalesced_transactions(a_base + a_lo, na, w);
-    stats.global_transactions += coalesced_transactions(b_base + b_lo, nb, w);
-    stats.global_requests += tile;
-    for (u32 warp_start = 0; warp_start < b; warp_start += w) {
-      for (u32 s = 0; s < E; ++s) {
-        writes.clear();
-        for (u32 lane = 0; lane < w; ++lane) {
-          const std::size_t addr =
-              static_cast<std::size_t>(warp_start + lane) +
-              static_cast<std::size_t>(s) * b;
-          if (addr < tile) {
-            writes.push_back({lane, addr, shm.peek(addr)});
-          }
+  // Stage the tile in shared memory: A segment at [0, na), B segment at
+  // [na, na + nb).  Global side is coalesced; the shared-side stores go
+  // through the banked memory (thread t stores elements t, t+b, ...).
+  shm.fill(data.subspan(blk.a, na), 0);
+  shm.fill(data.subspan(blk.b, nb), na);
+  stats.global_transactions += coalesced_transactions(blk.a, na, w);
+  stats.global_transactions += coalesced_transactions(blk.b, nb, w);
+  stats.global_requests += tile;
+  for (u32 warp_start = 0; warp_start < b; warp_start += w) {
+    for (u32 s = 0; s < E; ++s) {
+      writes.clear();
+      for (u32 lane = 0; lane < w; ++lane) {
+        const std::size_t addr = static_cast<std::size_t>(warp_start + lane) +
+                                 static_cast<std::size_t>(s) * b;
+        if (addr < tile) {
+          writes.push_back({lane, addr, shm.peek(addr)});
         }
-        shm.warp_write(writes);
       }
+      shm.warp_write(writes);
     }
-    // __syncthreads: the searches probe other threads' staged elements.
-    shm.barrier();
-
-    // In-block merge-path searches: thread t owns output ranks
-    // [tE, (t+1)E) of the tile.
-    for (u32 t = 0; t < b; ++t) {
-      search_ctxs[t] = {0, na, na, na + nb,
-                        static_cast<std::size_t>(t) * E};
-    }
-    const auto coranks = simulate_block_search(shm, search_ctxs, stats);
-    for (u32 t = 0; t < b; ++t) {
-      const bool last = t + 1 == b;
-      merge_ctxs[t].a_begin = coranks[t].i;
-      merge_ctxs[t].a_end = last ? na : coranks[t + 1].i;
-      merge_ctxs[t].b_begin = na + coranks[t].j;
-      merge_ctxs[t].b_end = na + (last ? nb : coranks[t + 1].j);
-      merge_ctxs[t].out_begin = static_cast<std::size_t>(t) * E;
-    }
-
-    // Lock-step merge to registers, barrier, write-back to shared in rank
-    // order (this is the attacked access stream).
-    simulate_block_merge(shm, merge_ctxs, E, /*write_back=*/true, stats,
-                         cfg.realistic_refills);
-
-    // Coalesced store to global: thread t reads shared elements t, t+b, ...
-    // (bank-conflict free) and writes them out coalesced.
-    for (u32 warp_start = 0; warp_start < b; warp_start += w) {
-      for (u32 s = 0; s < E; ++s) {
-        reads.clear();
-        for (u32 lane = 0; lane < w; ++lane) {
-          const std::size_t addr =
-              static_cast<std::size_t>(warp_start + lane) +
-              static_cast<std::size_t>(s) * b;
-          if (addr < tile) {
-            reads.push_back({lane, addr});
-          }
-        }
-        shm.warp_read(reads);
-      }
-    }
-    const auto merged = shm.dump(0, tile);
-    std::copy(merged.begin(), merged.end(),
-              out.begin() + static_cast<std::ptrdiff_t>(tidx * tile));
-    stats.global_transactions += tile / w;
-    stats.global_requests += tile;
-    stats.blocks_launched += 1;
-    stats.elements_processed += tile;
   }
+  // __syncthreads: the searches probe other threads' staged elements.
+  shm.barrier();
+
+  // In-block merge-path searches: thread t owns output ranks
+  // [tE, (t+1)E) of the tile.
+  for (u32 t = 0; t < b; ++t) {
+    search_ctxs[t] = {0, na, na, na + nb, static_cast<std::size_t>(t) * E};
+  }
+  const auto coranks = simulate_block_search(shm, search_ctxs, stats);
+  for (u32 t = 0; t < b; ++t) {
+    const bool last = t + 1 == b;
+    merge_ctxs[t].a_begin = coranks[t].i;
+    merge_ctxs[t].a_end = last ? na : coranks[t + 1].i;
+    merge_ctxs[t].b_begin = na + coranks[t].j;
+    merge_ctxs[t].b_end = na + (last ? nb : coranks[t + 1].j);
+    merge_ctxs[t].out_begin = static_cast<std::size_t>(t) * E;
+  }
+
+  // Lock-step merge to registers, barrier, write-back to shared in rank
+  // order (this is the attacked access stream).
+  simulate_block_merge(shm, merge_ctxs, E, /*write_back=*/true, stats,
+                       cfg.realistic_refills);
+
+  // Coalesced store to global: thread t reads shared elements t, t+b, ...
+  // (bank-conflict free) and writes them out coalesced.
+  for (u32 warp_start = 0; warp_start < b; warp_start += w) {
+    for (u32 s = 0; s < E; ++s) {
+      reads.clear();
+      for (u32 lane = 0; lane < w; ++lane) {
+        const std::size_t addr = static_cast<std::size_t>(warp_start + lane) +
+                                 static_cast<std::size_t>(s) * b;
+        if (addr < tile) {
+          reads.push_back({lane, addr});
+        }
+      }
+      shm.warp_read(reads);
+    }
+  }
+  for (std::size_t i = 0; i < tile; ++i) {
+    out[blk.out + i] = shm.peek(i);
+  }
+  stats.global_transactions += tile / w;
+  stats.global_requests += tile;
+  stats.blocks_launched += 1;
+  stats.elements_processed += tile;
 }
 
 }  // namespace
@@ -198,38 +218,20 @@ SortReport pairwise_merge_sort(std::span<const word> input,
 
   std::vector<word> data(input.begin(), input.end());
   std::vector<word> buffer(n);
-  gpusim::SharedMemory shm(
-      gpusim::SharedLayout{cfg.w, cfg.padding, cfg.layout}, tile);
-  shm.attach_trace(cfg.trace_sink);
+  BlockFanOut fan_out(cfg, n / tile);
+  std::vector<PairScratch> scratch(fan_out.width());
+  std::vector<PairTile> tiles;
 
   WCM_SPAN("pairwise.sort");
 
-  // Base case: every block sorts its own tile.
   {
     WCM_SPAN("pairwise.block_sort");
-    gpusim::KernelStats stats;
-    for (std::size_t base = 0; base < n; base += tile) {
-      shm.reset_stats();
-      simulate_block_sort(shm, std::span<word>(data).subspan(base, tile), cfg,
-                          stats);
-      stats.shared += shm.stats();
-      stats.blocks_launched += 1;
-      stats.elements_processed += tile;
-    }
-    gpusim::RoundStats round;
-    round.name = "block-sort";
-    round.kernel = stats;
-    round.modeled_seconds =
-        gpusim::estimate_kernel_time(dev, launch, stats, cal).seconds;
-    gpusim::record_round_telemetry("pairwise", round.name, cfg.E, cfg.padding,
-                                   stats);
-    report.totals += stats;
-    report.total_time +=
-        gpusim::estimate_kernel_time(dev, launch, stats, cal);
-    report.rounds.push_back(std::move(round));
+    block_sort_round(data, fan_out, "pairwise", launch, cal, report);
   }
 
   // Global pairwise merge rounds: merge adjacent runs until one run is left.
+  // Every pair is partitioned first, on this thread; then the blocks of all
+  // pairs fan out together, so even the last round's single pair spreads.
   std::size_t run = tile;
   u32 round_idx = 0;
   while (run < n) {
@@ -238,6 +240,7 @@ SortReport pairwise_merge_sort(std::span<const word> input,
     WCM_FAILPOINT("sort.pairwise.round", simulation_error,
                   "injected mid-round invariant break");
     gpusim::KernelStats stats;
+    tiles.clear();
     const std::size_t out_run = 2 * run;
     for (std::size_t base = 0; base < n; base += out_run) {
       if (base + run >= n) {
@@ -250,30 +253,20 @@ SortReport pairwise_merge_sort(std::span<const word> input,
         stats.global_requests += 2 * rem;
         continue;
       }
-      const std::size_t len_b = std::min(run, n - base - run);
-      shm.reset_stats();
-      gpusim::KernelStats pair_stats;
-      simulate_pair_merge(
-          std::span<const word>(data).subspan(base, run),
-          std::span<const word>(data).subspan(base + run, len_b), base,
-          base + run,
-          std::span<word>(buffer).subspan(base, run + len_b), cfg, shm,
-          pair_stats);
-      pair_stats.shared += shm.stats();
-      stats += pair_stats;
+      partition_pair(data, base, run, base + run,
+                     std::min(run, n - base - run), tile, stats, tiles);
     }
+    stats += fan_out.run(
+        tiles.size(), [&](std::size_t block, u32 worker,
+                          gpusim::SharedMemory& shm,
+                          gpusim::KernelStats& block_stats) {
+          simulate_pair_tile(data, tiles[block], buffer, cfg, shm,
+                             scratch[worker], block_stats);
+        });
     data.swap(buffer);
-
-    gpusim::RoundStats round;
-    round.name = "merge round " + std::to_string(round_idx);
-    round.kernel = stats;
-    round.modeled_seconds =
-        gpusim::estimate_kernel_time(dev, launch, stats, cal).seconds;
-    gpusim::record_round_telemetry("pairwise", round.name, cfg.E, cfg.padding,
-                                   stats);
-    report.totals += stats;
-    report.total_time += gpusim::estimate_kernel_time(dev, launch, stats, cal);
-    report.rounds.push_back(std::move(round));
+    append_round(report, "pairwise",
+                 "merge round " + std::to_string(round_idx), stats, launch,
+                 cal);
     run = out_run;
   }
 

@@ -45,9 +45,9 @@ struct State {
   bool armed = false;
   std::uint64_t skip = 0;
   std::int64_t times = -1;  // <0: unlimited
-  /// Atomic so detail::Site can count disarmed evaluations without the
-  /// registry mutex; every other field is guarded by it.
-  std::atomic<std::uint64_t> evaluations{0};
+  /// Sharded atomics so detail::Site can count disarmed evaluations
+  /// without the registry mutex; every other field is guarded by it.
+  detail::EvalCounter evaluations;
   std::uint64_t triggers = 0;
 };
 
@@ -185,6 +185,27 @@ namespace detail {
 // reads WCM_FAILPOINTS.
 std::atomic<bool> active{true};
 
+std::size_t this_thread_shard() noexcept {
+  static std::atomic<std::size_t> next{0};
+  thread_local const std::size_t shard =
+      next.fetch_add(1, std::memory_order_relaxed) % EvalCounter::kShards;
+  return shard;
+}
+
+std::uint64_t EvalCounter::load() const noexcept {
+  std::uint64_t total = 0;
+  for (const Shard& s : shards_) {
+    total += s.n.load(std::memory_order_relaxed);
+  }
+  return total;
+}
+
+void EvalCounter::reset() noexcept {
+  for (Shard& s : shards_) {
+    s.n.store(0, std::memory_order_relaxed);
+  }
+}
+
 Site::Site(const char* name) : name_(name) {
   Registry& r = registry();
   std::lock_guard<std::mutex> lock(r.mu);
@@ -201,7 +222,7 @@ bool should_fail(const char* name) {
     apply_env_locked(r);
   }
   State& s = r.points[name];
-  s.evaluations.fetch_add(1, std::memory_order_relaxed);
+  s.evaluations.add();
   if (!s.armed) {
     return false;
   }
@@ -252,7 +273,7 @@ void reset_counters() {
   Registry& r = registry();
   std::lock_guard<std::mutex> lock(r.mu);
   for (auto& [name, s] : r.points) {
-    s.evaluations.store(0, std::memory_order_relaxed);
+    s.evaluations.reset();
     s.triggers = 0;
   }
 }
@@ -270,7 +291,7 @@ std::uint64_t evaluations(const std::string& name) {
   const auto it = r.points.find(name);
   return it == r.points.end()
              ? 0
-             : it->second.evaluations.load(std::memory_order_relaxed);
+             : it->second.evaluations.load();
 }
 
 std::uint64_t triggers(const std::string& name) {

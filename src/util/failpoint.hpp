@@ -24,7 +24,9 @@
 // list of baked-in names is returned by failpoint::known() and documented
 // in docs/API.md.
 
+#include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -42,18 +44,45 @@ namespace detail {
 /// True while any failpoint is armed or WCM_FAILPOINTS is still unread.
 extern std::atomic<bool> active;
 
+/// Index of the calling thread's EvalCounter shard (assigned round robin on
+/// the thread's first evaluation).
+[[nodiscard]] std::size_t this_thread_shard() noexcept;
+
+/// A failpoint's evaluation count, split into cache-line shards: threads
+/// that simulate blocks side by side (sort::BlockFanOut) evaluate
+/// `sim.smem.invariant` on every step, and one shared counter line would
+/// bounce between their cores.  Each thread increments its own shard;
+/// readers sum them, so the count stays exact.
+class EvalCounter {
+ public:
+  void add() noexcept {
+    shards_[this_thread_shard()].n.fetch_add(1, std::memory_order_relaxed);
+  }
+  [[nodiscard]] std::uint64_t load() const noexcept;
+  void reset() noexcept;
+
+  static constexpr std::size_t kShards = 16;
+
+ private:
+  struct alignas(64) Shard {
+    std::atomic<std::uint64_t> n{0};
+  };
+  std::array<Shard, kShards> shards_;
+};
+
 /// One WCM_FAILPOINT site.  Registers its name once and caches the
 /// failpoint's evaluation counter, so the common disarmed evaluation is a
-/// relaxed flag load and a relaxed increment.  A site that races a
-/// concurrent arm() may count one more disarmed evaluation before it sees
-/// the flag; after that it takes should_fail()'s locked path.
+/// relaxed flag load and a relaxed increment of this thread's shard.  A
+/// site that races a concurrent arm() may count one more disarmed
+/// evaluation before it sees the flag; after that it takes should_fail()'s
+/// locked path.
 class Site {
  public:
   explicit Site(const char* name);
 
   [[nodiscard]] bool should_fail() {
     if (!active.load(std::memory_order_relaxed)) {
-      evaluations_->fetch_add(1, std::memory_order_relaxed);
+      evaluations_->add();
       return false;
     }
     return failpoint::should_fail(name_);
@@ -61,7 +90,7 @@ class Site {
 
  private:
   const char* name_;
-  std::atomic<std::uint64_t>* evaluations_;
+  EvalCounter* evaluations_;
 };
 
 }  // namespace detail

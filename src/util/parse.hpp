@@ -16,4 +16,10 @@ namespace wcm {
                                  const std::string& text,
                                  u64 max = std::numeric_limits<u64>::max());
 
+/// The WCM_THREADS environment override (0..4096, strictly parsed):
+/// `fallback` when the variable is unset, empty or 0.  Throws
+/// wcm::parse_error on garbage.  The one reader of the variable: campaign
+/// workers, wcmd's scheduler and a sort's block fan-out all size from it.
+[[nodiscard]] u32 threads_from_env(u32 fallback = 0);
+
 }  // namespace wcm

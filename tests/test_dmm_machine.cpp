@@ -71,6 +71,27 @@ TEST(Machine, StatsAccumulateAcrossSteps) {
   EXPECT_EQ(m.stats().steps, 0u);
 }
 
+TEST(Machine, PhaseReportsItsOwnStatsAndKeepsTheRunningTotals) {
+  Machine m(4, 16);
+  const std::vector<Request> conflict{{0, 0, Op::read, 0},
+                                      {1, 4, Op::read, 0}};
+  const std::vector<Request> free{{0, 0, Op::read, 0}, {1, 1, Op::read, 0}};
+  m.step(conflict, nullptr);
+
+  const MachineStats before = m.begin_phase();
+  m.step(free, nullptr);
+  const MachineStats phase = m.end_phase(before);
+  EXPECT_EQ(phase.steps, 1u);
+  EXPECT_EQ(phase.requests, 2u);
+  EXPECT_EQ(phase.replays, 0u);
+  EXPECT_EQ(phase.max_bank_degree, 1u);  // not the earlier 2-way step's
+
+  EXPECT_EQ(m.stats().steps, 2u);
+  EXPECT_EQ(m.stats().requests, 4u);
+  EXPECT_EQ(m.stats().replays, 1u);
+  EXPECT_EQ(m.stats().max_bank_degree, 2u);
+}
+
 TEST(Machine, RejectsOutOfRangeRequests) {
   Machine m(4, 16);
   std::vector<Request> bad_proc{{4, 0, Op::read, 0}};

@@ -115,6 +115,38 @@ TEST(BlockMerge, AccountsOneReadPerElementPerRound) {
   EXPECT_EQ(stats.warp_merge_steps, E);  // one warp, E lock-step iterations
 }
 
+// The phase subsets report their own worst bank, not the running maximum
+// of whatever ran earlier on the same shared memory.
+TEST(BlockMerge, PhaseSubsetsReportTheirOwnWorstBank) {
+  std::vector<word> keys(32 * 32);
+  std::iota(keys.begin(), keys.end(), 0);
+  gpusim::SharedMemory shm(32, keys.size());
+  shm.fill(keys);
+  std::vector<gpusim::LaneRead> one_bank(32);
+  for (u32 lane = 0; lane < 32; ++lane) {
+    one_bank[lane] = {lane, static_cast<std::size_t>(lane) * 32};
+  }
+  (void)shm.warp_read(one_bank);  // 32-way conflict before either phase
+  gpusim::KernelStats stats;
+
+  // One lane bisects A = [0, 32) against B = [32, 64): one probe a step.
+  const std::vector<ThreadSearchCtx> search{{0, 32, 32, 64, 32}};
+  (void)simulate_block_search(shm, search, stats);
+  // 32 lanes each consume one key of [0, 32): conflict-free.
+  std::vector<ThreadMergeCtx> merge(32);
+  for (u32 t = 0; t < 32; ++t) {
+    merge[t] = {t, t + 1u, 32, 32, t};
+  }
+  (void)simulate_block_merge(shm, merge, 1, /*write_back=*/false, stats);
+
+  EXPECT_GT(stats.shared_search.steps, 0u);
+  EXPECT_EQ(stats.shared_search.max_bank_degree, 1u);
+  EXPECT_EQ(stats.shared_merge_reads.steps, 1u);
+  EXPECT_EQ(stats.shared_merge_reads.max_bank_degree, 1u);
+  EXPECT_EQ(shm.stats().max_bank_degree, 32u);
+  EXPECT_EQ(shm.stats().steps, 2 + stats.shared_search.steps);
+}
+
 TEST(BlockMerge, RejectsWrongQuantileSize) {
   gpusim::SharedMemory shm(32, 64);
   gpusim::KernelStats stats;
