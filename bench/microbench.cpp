@@ -10,6 +10,7 @@
 #include "core/warp_construction.hpp"
 #include "dmm/access.hpp"
 #include "dmm_reference.hpp"
+#include "gpusim/shared_memory.hpp"
 #include "mergepath/partition.hpp"
 #include "sort/cpu_reference.hpp"
 #include "sort/pairwise_sort.hpp"
@@ -137,6 +138,43 @@ BENCHMARK_CAPTURE(BM_DmmAnalyzeStepReference, single_bank,
                   StepCase::single_bank);
 BENCHMARK_CAPTURE(BM_DmmAnalyzeStepReference, broadcast, StepCase::broadcast);
 BENCHMARK_CAPTURE(BM_DmmAnalyzeStepReference, w17, StepCase::w17);
+
+/// The 32 lanes of one warp step: conflict_free (lane l at address l) or
+/// worst_case (lane l at 32 l: 32 distinct addresses, all in bank 0).
+std::vector<gpusim::LaneWrite> warp_pattern(bool worst_case) {
+  std::vector<gpusim::LaneWrite> lanes;
+  for (u32 lane = 0; lane < 32; ++lane) {
+    lanes.push_back({lane, worst_case ? std::size_t{32} * lane : lane,
+                     static_cast<dmm::word>(lane)});
+  }
+  return lanes;
+}
+
+// One warp-wide access through SharedMemory: bounds checks, the physical
+// address map, the value gather or scatter and the step's pricing.
+void BM_SharedMemoryWarpRead(benchmark::State& state, bool worst_case) {
+  gpusim::SharedMemory shm(32, 32 * 32);
+  std::vector<gpusim::LaneRead> reads;
+  for (const gpusim::LaneWrite& l : warp_pattern(worst_case)) {
+    reads.push_back({l.lane, l.addr});
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(shm.warp_read(reads).data());
+  }
+}
+BENCHMARK_CAPTURE(BM_SharedMemoryWarpRead, conflict_free, false);
+BENCHMARK_CAPTURE(BM_SharedMemoryWarpRead, worst_case, true);
+
+void BM_SharedMemoryWarpWrite(benchmark::State& state, bool worst_case) {
+  gpusim::SharedMemory shm(32, 32 * 32);
+  const std::vector<gpusim::LaneWrite> writes = warp_pattern(worst_case);
+  for (auto _ : state) {
+    shm.warp_write(writes);
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK_CAPTURE(BM_SharedMemoryWarpWrite, conflict_free, false);
+BENCHMARK_CAPTURE(BM_SharedMemoryWarpWrite, worst_case, true);
 
 void BM_SimulatedSort(benchmark::State& state) {
   const sort::SortConfig cfg{5, 64, 32};

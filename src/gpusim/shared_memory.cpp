@@ -1,5 +1,7 @@
 #include "gpusim/shared_memory.hpp"
 
+#include <algorithm>
+
 #include "gpusim/trace.hpp"
 #include "util/check.hpp"
 #include "util/failpoint.hpp"
@@ -10,11 +12,10 @@ SharedMemory::SharedMemory(u32 warp_size, std::size_t words, u32 pad)
     : SharedMemory(SharedLayout{warp_size, pad}, words) {}
 
 SharedMemory::SharedMemory(const SharedLayout& layout, std::size_t words)
-    : warp_size_(layout.w),
-      layout_(layout),
-      logical_words_(words),
-      machine_(layout.w, layout_.physical_words(words)) {
+    : layout_(layout), mem_(words, word{0}) {
   WCM_CHECK_CONFIG(layout.w >= 1, "warp size must be positive");
+  WCM_CHECK_CONFIG(layout.w <= dmm::kMaxLanes,
+                   "warp size must be at most 64");
   // Only the xor permutation needs a power of two: `col ^ (row % w)` is
   // bijective on [0, w) iff w is a power of two, while the linear and
   // rotation layouts are plain mod-w arithmetic for any width (the w = 3
@@ -28,7 +29,7 @@ SharedMemory::SharedMemory(const SharedLayout& layout, std::size_t words)
 void SharedMemory::attach_trace(TraceRecorder* recorder) {
   recorder_ = recorder;
   if (recorder_ != nullptr) {
-    recorder_->on_attach(warp_size_, logical_words_);
+    recorder_->on_attach(layout_.w, mem_.size());
   }
 }
 
@@ -40,55 +41,75 @@ void SharedMemory::barrier() {
 
 std::span<const word> SharedMemory::warp_read(
     std::span<const LaneRead> reads) {
-  WCM_CHECK_SIM(reads.size() <= warp_size_, "more requests than lanes");
+  const std::size_t n = reads.size();
+  WCM_CHECK_SIM(n <= layout_.w, "more requests than lanes");
   WCM_FAILPOINT("sim.smem.invariant", simulation_error,
                 "injected mid-access invariant break");
   if (recorder_ != nullptr) {
     recorder_->on_read(reads, atomic_section_);
   }
-  scratch_.clear();
-  for (const LaneRead& r : reads) {
-    WCM_CHECK_SIM(r.lane < warp_size_, "lane out of range");
-    WCM_CHECK_SIM(r.addr < logical_words_, "read out of bounds");
-    scratch_.push_back({r.lane, layout_.physical(r.addr), dmm::Op::read, 0});
+  // Left uninitialized on purpose: the loop writes entries [0, n) and the
+  // kernel reads no others.
+  std::array<u32, dmm::kMaxLanes> lane;
+  std::array<std::size_t, dmm::kMaxLanes> addr;
+  const SharedLayout layout = layout_;
+  for (std::size_t i = 0; i < n; ++i) {
+    const LaneRead& r = reads[i];
+    WCM_CHECK_SIM(r.lane < layout.w, "lane out of range");
+    WCM_CHECK_SIM(r.addr < mem_.size(), "read out of bounds");
+    lane[i] = r.lane;
+    addr[i] = layout.physical(r.addr);
+    read_values_[i] = mem_[r.addr];
   }
-  machine_.step(scratch_, &scratch_reads_);
-  return scratch_reads_;
+  stats_ += dmm::price_lanes({lane.data(), n}, {addr.data(), n},
+                             dmm::Op::read, layout.w);
+  return {read_values_.data(), n};
 }
 
 void SharedMemory::warp_write(std::span<const LaneWrite> writes) {
-  WCM_CHECK_SIM(writes.size() <= warp_size_, "more requests than lanes");
+  const std::size_t n = writes.size();
+  WCM_CHECK_SIM(n <= layout_.w, "more requests than lanes");
   if (recorder_ != nullptr) {
     recorder_->on_write(writes, atomic_section_);
   }
-  scratch_.clear();
-  for (const LaneWrite& w : writes) {
-    WCM_CHECK_SIM(w.lane < warp_size_, "lane out of range");
-    WCM_CHECK_SIM(w.addr < logical_words_, "write out of bounds");
-    scratch_.push_back(
-        {w.lane, layout_.physical(w.addr), dmm::Op::write, w.value});
+  // Uninitialized on purpose, as in warp_read.
+  std::array<u32, dmm::kMaxLanes> lane;
+  std::array<std::size_t, dmm::kMaxLanes> addr;
+  const SharedLayout layout = layout_;
+  for (std::size_t i = 0; i < n; ++i) {
+    const LaneWrite& w = writes[i];
+    WCM_CHECK_SIM(w.lane < layout.w, "lane out of range");
+    WCM_CHECK_SIM(w.addr < mem_.size(), "write out of bounds");
+    lane[i] = w.lane;
+    addr[i] = layout.physical(w.addr);
   }
-  machine_.step(scratch_, nullptr);
+  // Priced (and CREW-checked) before any value lands.
+  stats_ += dmm::price_lanes({lane.data(), n}, {addr.data(), n},
+                             dmm::Op::write, layout.w);
+  for (const LaneWrite& w : writes) {
+    mem_[w.addr] = w.value;
+  }
 }
 
 void SharedMemory::fill(std::span<const word> values, std::size_t base) {
-  WCM_EXPECTS(base + values.size() <= logical_words_, "fill out of bounds");
+  WCM_EXPECTS(base + values.size() <= mem_.size(), "fill out of bounds");
   if (recorder_ != nullptr && !values.empty()) {
     recorder_->on_fill(base, values.size());
   }
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    machine_.poke(layout_.physical(base + i), values[i]);
-  }
+  std::copy(values.begin(), values.end(),
+            mem_.begin() + static_cast<std::ptrdiff_t>(base));
 }
 
 std::vector<word> SharedMemory::dump(std::size_t base,
                                      std::size_t count) const {
-  WCM_EXPECTS(base + count <= logical_words_, "dump out of bounds");
-  std::vector<word> out(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    out[i] = machine_.peek(layout_.physical(base + i));
-  }
-  return out;
+  const std::span<const word> v = view(base, count);
+  return {v.begin(), v.end()};
+}
+
+std::span<const word> SharedMemory::view(std::size_t base,
+                                         std::size_t count) const {
+  WCM_EXPECTS(base + count <= mem_.size(), "dump out of bounds");
+  return std::span<const word>(mem_).subspan(base, count);
 }
 
 }  // namespace wcm::gpusim

@@ -1,16 +1,26 @@
 #pragma once
-// Banked shared memory for one simulated thread block: a thin, warp-oriented
-// wrapper over the formal DMM machine.  Every warp-wide access is one
-// synchronous DMM step; inactive lanes simply do not submit a request.
-// Conflict statistics accumulate in the underlying dmm::Machine and are
-// read out per kernel by the sort engine.
+// Banked shared memory for one simulated thread block.  Every warp-wide
+// access is one synchronous DMM step (dmm/access.hpp); inactive lanes
+// simply do not submit a request.
+//
+// Values are stored in logical order: a SharedLayout (gpusim/layout.hpp)
+// is injective, so where a word sits physically changes neither the
+// values nor the CREW checks, only which bank each access hits.
+// warp_read / warp_write therefore map each lane's logical address to its
+// physical one straight into the conflict kernel's stack arrays
+// (dmm::price_lanes, bitmask fast path included) and gather or scatter
+// the values in the same pass: no request vector, no second copy of
+// memory, no heap.  Host-side fill / dump / peek / poke are plain array
+// accesses.  The memory accumulates its own conflict statistics, read out
+// per kernel (and per phase) by the sort engines.
 
-#include <optional>
+#include <array>
 #include <span>
 #include <vector>
 
-#include "dmm/machine.hpp"
+#include "dmm/access.hpp"
 #include "gpusim/layout.hpp"
+#include "util/check.hpp"
 #include "util/math.hpp"
 
 namespace wcm::gpusim {
@@ -32,26 +42,27 @@ struct LaneWrite {
 
 class SharedMemory {
  public:
-  /// `words` counts *logical* words; with pad > 0 the backing store is
-  /// correspondingly larger.  All addresses in the public API are logical;
-  /// bank-conflict accounting uses the physical (padded) addresses.
+  /// `words` counts *logical* words.  All addresses in the public API are
+  /// logical; bank-conflict accounting uses the physical (padded)
+  /// addresses.  The warp size is at most dmm::kMaxLanes.
   SharedMemory(u32 warp_size, std::size_t words, u32 pad = 0);
 
   /// Full layout control (padding and/or a per-row bank permutation, see
   /// gpusim/layout.hpp); the layout's w is the warp size.
   SharedMemory(const SharedLayout& layout, std::size_t words);
 
-  [[nodiscard]] u32 warp_size() const noexcept { return warp_size_; }
-  [[nodiscard]] std::size_t words() const noexcept { return logical_words_; }
+  [[nodiscard]] u32 warp_size() const noexcept { return layout_.w; }
+  [[nodiscard]] std::size_t words() const noexcept { return mem_.size(); }
   [[nodiscard]] const SharedLayout& layout() const noexcept { return layout_; }
 
   /// One warp-wide load; returns the value read by each request, in request
   /// order.  Lanes must be distinct.  Accounted as one DMM step.  The span
   /// views a buffer this memory reuses: it stays valid until the next
-  /// warp_read or warp_write on this memory.
+  /// warp_read on this memory.
   std::span<const word> warp_read(std::span<const LaneRead> reads);
 
-  /// One warp-wide store.  Accounted as one DMM step.
+  /// One warp-wide store.  Accounted as one DMM step; a CREW violation
+  /// throws before any value is stored.
   void warp_write(std::span<const LaneWrite> writes);
 
   /// Execution barrier (__syncthreads): free at the machine level, but
@@ -67,27 +78,42 @@ class SharedMemory {
   void set_atomic_section(bool on) noexcept { atomic_section_ = on; }
 
   /// Host-side (unaccounted) access for kernel setup / result extraction.
-  /// Recorded as an initialization marker in an attached trace.
+  /// fill is recorded as an initialization marker in an attached trace.
   void fill(std::span<const word> values, std::size_t base = 0);
   [[nodiscard]] std::vector<word> dump(std::size_t base,
                                        std::size_t count) const;
+  /// dump() without the copy: valid until the memory is written again.
+  [[nodiscard]] std::span<const word> view(std::size_t base,
+                                           std::size_t count) const;
   [[nodiscard]] word peek(std::size_t addr) const {
-    return machine_.peek(layout_.physical(addr));
+    WCM_EXPECTS(addr < mem_.size(), "peek out of bounds");
+    return mem_[addr];
   }
   void poke(std::size_t addr, word v) {
-    machine_.poke(layout_.physical(addr), v);
+    WCM_EXPECTS(addr < mem_.size(), "poke out of bounds");
+    mem_[addr] = v;
   }
 
   [[nodiscard]] const dmm::MachineStats& stats() const noexcept {
-    return machine_.stats();
+    return stats_;
   }
-  void reset_stats() noexcept { machine_.reset_stats(); }
-  /// Per-phase stats (dmm::Machine::begin_phase / end_phase).
+  void reset_stats() noexcept { stats_ = {}; }
+
+  /// Begin measuring one phase of steps: returns the running totals and
+  /// zeroes them, so stats() counts the phase alone — its own
+  /// max_bank_degree included, which no difference of two running
+  /// snapshots can give.
   [[nodiscard]] dmm::MachineStats begin_phase() noexcept {
-    return machine_.begin_phase();
+    const dmm::MachineStats before = stats_;
+    stats_ = {};
+    return before;
   }
+  /// End the phase whose begin_phase() returned `before`: returns the
+  /// phase's own stats and restores the running totals to before + phase.
   dmm::MachineStats end_phase(const dmm::MachineStats& before) noexcept {
-    return machine_.end_phase(before);
+    const dmm::MachineStats phase = stats_;
+    stats_ += before;
+    return phase;
   }
 
   /// Attach an access-trace recorder (see gpusim/trace.hpp); nullptr
@@ -96,14 +122,12 @@ class SharedMemory {
   void attach_trace(class TraceRecorder* recorder);
 
  private:
-  u32 warp_size_;
   SharedLayout layout_;
-  std::size_t logical_words_;
-  dmm::Machine machine_;
+  std::vector<word> mem_;  // logical order
+  dmm::MachineStats stats_;
   class TraceRecorder* recorder_ = nullptr;
   bool atomic_section_ = false;
-  std::vector<dmm::Request> scratch_;  // reused request buffer
-  std::vector<word> scratch_reads_;
+  std::array<word, dmm::kMaxLanes> read_values_{};  // last warp_read's values
 };
 
 }  // namespace wcm::gpusim

@@ -1,6 +1,7 @@
 #include "gpusim/trace.hpp"
 
 #include <algorithm>
+#include <array>
 #include <charconv>
 #include <istream>
 #include <ostream>
@@ -91,22 +92,37 @@ void TraceRecorder::on_fill(std::size_t base, std::size_t count) {
   trace_.steps.push_back(std::move(step));
 }
 
+namespace {
+
+/// One recorded access step priced under `layout`: lane ids and physical
+/// addresses go straight into the conflict kernel's stack arrays.
+dmm::StepCost price_step(const TraceStep& s, const SharedLayout& layout) {
+  const std::size_t n = s.accesses.size();
+  WCM_EXPECTS(n <= dmm::kMaxLanes, "trace step wider than a warp");
+  // Uninitialized on purpose, as in SharedMemory::warp_read: the loop
+  // writes entries [0, n) and the kernel reads no others.
+  std::array<u32, dmm::kMaxLanes> lane;
+  std::array<std::size_t, dmm::kMaxLanes> addr;
+  for (std::size_t i = 0; i < n; ++i) {
+    lane[i] = s.accesses[i].first;
+    addr[i] = layout.physical(s.accesses[i].second);
+  }
+  return dmm::price_lanes({lane.data(), n}, {addr.data(), n},
+                          s.is_write() ? dmm::Op::write : dmm::Op::read,
+                          layout.w);
+}
+
+}  // namespace
+
 dmm::MachineStats replay_stats(const Trace& trace,
                                const SharedLayout& layout) {
   WCM_EXPECTS(layout.w == trace.warp_size,
               "layout bank count must match the trace's warp size");
   dmm::MachineStats stats;
-  std::vector<dmm::Request> step;
   for (const auto& s : trace.steps) {
-    if (!s.is_access()) {
-      continue;
+    if (s.is_access()) {
+      stats += price_step(s, layout);
     }
-    step.clear();
-    for (const auto& [lane, addr] : s.accesses) {
-      step.push_back({lane, layout.physical(addr),
-                      s.is_write() ? dmm::Op::write : dmm::Op::read, 0});
-    }
-    stats += dmm::analyze_step(step, trace.warp_size);
   }
   return stats;
 }
@@ -117,18 +133,9 @@ std::vector<dmm::StepCost> replay_step_costs(const Trace& trace,
               "layout bank count must match the trace's warp size");
   std::vector<dmm::StepCost> costs;
   costs.reserve(trace.steps.size());
-  std::vector<dmm::Request> step;
   for (const auto& s : trace.steps) {
-    if (!s.is_access()) {
-      costs.emplace_back();  // barriers and fills are free
-      continue;
-    }
-    step.clear();
-    for (const auto& [lane, addr] : s.accesses) {
-      step.push_back({lane, layout.physical(addr),
-                      s.is_write() ? dmm::Op::write : dmm::Op::read, 0});
-    }
-    costs.push_back(dmm::analyze_step(step, trace.warp_size));
+    // Barriers and fills are free.
+    costs.push_back(s.is_access() ? price_step(s, layout) : dmm::StepCost{});
   }
   return costs;
 }

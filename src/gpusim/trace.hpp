@@ -23,7 +23,7 @@
 #include <iosfwd>
 #include <vector>
 
-#include "dmm/machine.hpp"
+#include "dmm/access.hpp"
 #include "gpusim/shared_memory.hpp"
 
 namespace wcm::gpusim {
@@ -89,10 +89,11 @@ class TraceRecorder {
   Trace trace_;
 };
 
-/// Replay a trace's access stream through a fresh DMM machine under the
-/// given layout and return the contention statistics.  Barrier and fill
-/// markers are free.  Replaying under the layout the trace was recorded
-/// with reproduces the live stats exactly (asserted by tests).
+/// Re-price a trace's access stream under the given layout, step by step
+/// through dmm::price_lanes (the kernel the live sorts run), and return the
+/// contention statistics.  Barrier and fill markers are free.  Replaying
+/// under the layout the trace was recorded with reproduces the live stats
+/// exactly (asserted by tests).
 [[nodiscard]] dmm::MachineStats replay_stats(const Trace& trace,
                                              const SharedLayout& layout);
 

@@ -429,7 +429,7 @@ struct Server::Impl {
     auto deliver = [this, conn, id = req.id, tenant = req.tenant, key,
                     trace = telemetry::current_trace_context()](
                        const runtime::FlightResult& r) {
-      const telemetry::ScopedTraceContext trace_scope(trace);
+      const telemetry::ScopedTraceContext respond_scope(trace);
       WCM_SPAN("serve.respond");
       if (r.ok) {
         // Idempotent across the flight's waiters; populates the shard of

@@ -8,22 +8,22 @@
 
 namespace wcm::sort {
 
-std::vector<mergepath::CoRank> simulate_block_search(
+std::span<const mergepath::CoRank> simulate_block_search(
     gpusim::SharedMemory& shm, std::span<const ThreadSearchCtx> ctxs,
-    gpusim::KernelStats& stats) {
+    gpusim::KernelStats& stats, BlockScratch& scratch) {
   WCM_SPAN("block_merge.search");
   const u32 w = shm.warp_size();
   const std::size_t t = ctxs.size();
-  std::vector<mergepath::CoRank> result(t);
+  std::vector<BlockScratch::Search>& st = scratch.searches;
+  std::vector<BlockScratch::Probe>& probes = scratch.probes;
+  std::vector<gpusim::LaneRead>& reads = scratch.reads;
+  std::vector<mergepath::CoRank>& result = scratch.coranks;
+  result.resize(t);
 
-  // Per-thread search state, advanced one iteration at a time so probes can
-  // be replayed warp-synchronously across lanes.
-  struct SearchState {
-    std::size_t lo = 0;
-    std::size_t hi = 0;
-    bool done = false;
-  };
-  std::vector<SearchState> st(t);
+  // Per-thread bisection state, advanced one iteration at a time so probes
+  // can be replayed warp-synchronously across lanes; a thread is done once
+  // its interval is empty.
+  st.resize(t);
   for (std::size_t i = 0; i < t; ++i) {
     const ThreadSearchCtx& c = ctxs[i];
     WCM_EXPECTS(c.a_begin <= c.a_end && c.a_end <= shm.words(),
@@ -35,57 +35,46 @@ std::vector<mergepath::CoRank> simulate_block_search(
     WCM_EXPECTS(c.diag <= na + nb, "diagonal beyond both lists");
     st[i].lo = c.diag > nb ? c.diag - nb : 0;
     st[i].hi = std::min(c.diag, na);
-    st[i].done = st[i].lo >= st[i].hi;
-    if (st[i].done) {
+    if (st[i].lo >= st[i].hi) {
       result[i] = {st[i].lo, c.diag - st[i].lo};
     }
   }
 
   const auto shared_before = shm.begin_phase();
-
-  std::vector<gpusim::LaneRead> probes_a;
-  std::vector<gpusim::LaneRead> probes_b;
-  std::vector<std::pair<std::size_t, std::size_t>> mids;  // (thread, mid)
-  probes_a.reserve(w);
-  probes_b.reserve(w);
-  mids.reserve(w);
-
   for (std::size_t warp_start = 0; warp_start < t; warp_start += w) {
     const std::size_t warp_end = std::min<std::size_t>(warp_start + w, t);
     for (;;) {
-      probes_a.clear();
-      probes_b.clear();
-      mids.clear();
       // Decide this iteration's probe addresses for every active lane.
+      probes.clear();
+      reads.clear();
       for (std::size_t i = warp_start; i < warp_end; ++i) {
-        if (st[i].done) {
+        if (st[i].lo >= st[i].hi) {
           continue;
         }
         const std::size_t mid = st[i].lo + (st[i].hi - st[i].lo) / 2;
-        const std::size_t j = ctxs[i].diag - mid;
-        probes_a.push_back(
+        probes.push_back({i, mid, 0});
+        reads.push_back(
             {static_cast<u32>(i - warp_start), ctxs[i].a_begin + mid});
-        probes_b.push_back(
-            {static_cast<u32>(i - warp_start), ctxs[i].b_begin + j - 1});
-        mids.emplace_back(i, mid);
       }
-      if (probes_a.empty()) {
+      if (probes.empty()) {
         break;
       }
       // Two warp-wide loads per iteration: the A probe then the B probe.
-      shm.warp_read(probes_a);
-      shm.warp_read(probes_b);
-      for (const auto& [i, mid] : mids) {
-        const std::size_t j = ctxs[i].diag - mid;
-        const word av = shm.peek(ctxs[i].a_begin + mid);
-        const word bv = shm.peek(ctxs[i].b_begin + j - 1);
-        if (av <= bv) {  // A-priority, matches mergepath::merge_path
+      const std::span<const word> a_values = shm.warp_read(reads);
+      for (std::size_t k = 0; k < probes.size(); ++k) {
+        const ThreadSearchCtx& c = ctxs[probes[k].thread];
+        probes[k].a = a_values[k];
+        reads[k].addr = c.b_begin + (c.diag - probes[k].mid) - 1;
+      }
+      const std::span<const word> b_values = shm.warp_read(reads);
+      for (std::size_t k = 0; k < probes.size(); ++k) {
+        const auto [i, mid, a] = probes[k];
+        if (a <= b_values[k]) {  // A-priority, matches mergepath::merge_path
           st[i].lo = mid + 1;
         } else {
           st[i].hi = mid;
         }
         if (st[i].lo >= st[i].hi) {
-          st[i].done = true;
           result[i] = {st[i].lo, ctxs[i].diag - st[i].lo};
         }
       }
@@ -96,11 +85,10 @@ std::vector<mergepath::CoRank> simulate_block_search(
   return result;
 }
 
-std::vector<word> simulate_block_merge(gpusim::SharedMemory& shm,
-                                       std::span<const ThreadMergeCtx> ctxs,
-                                       u32 E, bool write_back,
-                                       gpusim::KernelStats& stats,
-                                       bool realistic_refills) {
+std::span<const word> simulate_block_merge(
+    gpusim::SharedMemory& shm, std::span<const ThreadMergeCtx> ctxs, u32 E,
+    bool write_back, gpusim::KernelStats& stats, BlockScratch& scratch,
+    bool realistic_refills) {
   WCM_SPAN("block_merge.merge");
   for (const ThreadMergeCtx& c : ctxs) {
     WCM_EXPECTS(c.elements() == E, "every thread must merge exactly E keys");
@@ -112,17 +100,19 @@ std::vector<word> simulate_block_merge(gpusim::SharedMemory& shm,
   const std::size_t t = ctxs.size();
 
   // Per-thread cursors and register file.
-  std::vector<std::size_t> ai(t), bi(t);
+  std::vector<std::size_t>& ai = scratch.a_cursor;
+  std::vector<std::size_t>& bi = scratch.b_cursor;
+  std::vector<word>& regs = scratch.regs;
+  std::vector<gpusim::LaneRead>& reads = scratch.reads;
+  ai.resize(t);
+  bi.resize(t);
   for (std::size_t i = 0; i < t; ++i) {
     ai[i] = ctxs[i].a_begin;
     bi[i] = ctxs[i].b_begin;
   }
-  std::vector<word> regs(t * E);
+  regs.resize(t * E);
 
   const auto before_merge = shm.begin_phase();
-
-  std::vector<gpusim::LaneRead> reads;
-  reads.reserve(w);
   for (std::size_t warp_start = 0; warp_start < t; warp_start += w) {
     const std::size_t warp_end = std::min<std::size_t>(warp_start + w, t);
     if (realistic_refills) {
@@ -149,15 +139,20 @@ std::vector<word> simulate_block_merge(gpusim::SharedMemory& shm,
         const bool a_avail = ai[i] < ctxs[i].a_end;
         const bool b_avail = bi[i] < ctxs[i].b_end;
         bool take_a;
+        word value;
         if (a_avail && b_avail) {
-          take_a = shm.peek(ai[i]) <= shm.peek(bi[i]);  // A-priority
+          const word a = shm.peek(ai[i]);
+          const word b = shm.peek(bi[i]);
+          take_a = a <= b;  // A-priority
+          value = take_a ? a : b;
         } else {
           WCM_EXPECTS(a_avail || b_avail,
                       "thread ran out of elements before step E");
           take_a = a_avail;
+          value = shm.peek(take_a ? ai[i] : bi[i]);
         }
         const std::size_t addr = take_a ? ai[i]++ : bi[i]++;
-        regs[i * E + s] = shm.peek(addr);
+        regs[i * E + s] = value;
         if (realistic_refills) {
           // The consumed value was already in registers; the iteration's
           // shared access is the *refill* of the consumed side's next
@@ -183,8 +178,7 @@ std::vector<word> simulate_block_merge(gpusim::SharedMemory& shm,
   // another barrier before anyone reads the merged output.
   if (write_back) {
     shm.barrier();
-    std::vector<gpusim::LaneWrite> writes;
-    writes.reserve(w);
+    std::vector<gpusim::LaneWrite>& writes = scratch.writes;
     for (std::size_t warp_start = 0; warp_start < t; warp_start += w) {
       const std::size_t warp_end = std::min<std::size_t>(warp_start + w, t);
       for (u32 s = 0; s < E; ++s) {

@@ -53,14 +53,44 @@ struct ThreadSearchCtx {
   std::size_t diag = 0;
 };
 
+/// Reusable working storage of the block kernels, kept per worker so that
+/// a warm block allocates nothing.  search_ctxs and merge_ctxs are the
+/// caller's to fill; reads and writes are lane lists that the kernels and
+/// their callers all clobber; the rest belongs to the kernels.
+struct BlockScratch {
+  std::vector<ThreadSearchCtx> search_ctxs;
+  std::vector<ThreadMergeCtx> merge_ctxs;
+  std::vector<gpusim::LaneRead> reads;
+  std::vector<gpusim::LaneWrite> writes;
+
+  /// One thread's bisection interval [lo, hi) in simulate_block_search.
+  struct Search {
+    std::size_t lo = 0;
+    std::size_t hi = 0;
+  };
+  /// One active lane's probe: its thread, midpoint and A-probe value.
+  struct Probe {
+    std::size_t thread = 0;
+    std::size_t mid = 0;
+    word a = 0;
+  };
+  std::vector<Search> searches;
+  std::vector<Probe> probes;
+  std::vector<mergepath::CoRank> coranks;
+  std::vector<std::size_t> a_cursor;
+  std::vector<std::size_t> b_cursor;
+  std::vector<word> regs;
+};
+
 /// Simulate the merge-path searches of ctxs.size() consecutive threads
 /// (grouped in warps of shm.warp_size(); a warp may span several merge
 /// pairs, whose probes then share warp steps, as on real hardware).
-/// Returns the per-thread co-rank and accounts every probe into `stats`
-/// (both `shared` and `shared_search`).
-[[nodiscard]] std::vector<mergepath::CoRank> simulate_block_search(
+/// Returns the per-thread co-ranks — a view of `scratch`, valid until its
+/// next use — and accounts every probe into `stats` (both `shared` and
+/// `shared_search`).  `ctxs` may be scratch.search_ctxs.
+std::span<const mergepath::CoRank> simulate_block_search(
     gpusim::SharedMemory& shm, std::span<const ThreadSearchCtx> ctxs,
-    gpusim::KernelStats& stats);
+    gpusim::KernelStats& stats, BlockScratch& scratch);
 
 /// Simulate the lock-step merge of phase 2 plus the write-back of phase 3.
 /// Every context must cover exactly E elements.  When `write_back` is true
@@ -68,11 +98,12 @@ struct ThreadSearchCtx {
 /// `realistic_refills` switches the accounting from the paper's
 /// consumed-element model to the initial-heads + per-step refill stream of
 /// real kernels (see SortConfig::realistic_refills).
-/// Returns the merged keys of all threads concatenated in context order.
-std::vector<word> simulate_block_merge(gpusim::SharedMemory& shm,
-                                       std::span<const ThreadMergeCtx> ctxs,
-                                       u32 E, bool write_back,
-                                       gpusim::KernelStats& stats,
-                                       bool realistic_refills = false);
+/// Returns the merged keys of all threads concatenated in context order,
+/// as a view of `scratch` valid until its next use.  `ctxs` may be
+/// scratch.merge_ctxs.
+std::span<const word> simulate_block_merge(
+    gpusim::SharedMemory& shm, std::span<const ThreadMergeCtx> ctxs, u32 E,
+    bool write_back, gpusim::KernelStats& stats, BlockScratch& scratch,
+    bool realistic_refills = false);
 
 }  // namespace wcm::sort

@@ -12,7 +12,8 @@
 namespace wcm::sort {
 
 void simulate_block_sort(gpusim::SharedMemory& shm, std::span<word> tile,
-                         const SortConfig& cfg, gpusim::KernelStats& stats) {
+                         const SortConfig& cfg, gpusim::KernelStats& stats,
+                         BlockScratch& scratch) {
   cfg.validate();
   WCM_EXPECTS(tile.size() == cfg.tile(), "tile size mismatch");
   WCM_EXPECTS(shm.words() >= cfg.tile(), "shared memory too small");
@@ -35,9 +36,8 @@ void simulate_block_sort(gpusim::SharedMemory& shm, std::span<word> tile,
   // Each thread loads its E consecutive keys from shared into registers
   // (thread t reads addresses tE .. tE+E-1, lock-step across the warp),
   // sorts them with the odd-even network, and stores them back.
-  std::vector<gpusim::LaneRead> reads;
-  std::vector<gpusim::LaneWrite> writes;
-  std::vector<word> regs(E);
+  std::vector<gpusim::LaneRead>& reads = scratch.reads;
+  std::vector<gpusim::LaneWrite>& writes = scratch.writes;
   for (u32 warp_start = 0; warp_start < b; warp_start += w) {
     for (u32 s = 0; s < E; ++s) {
       reads.clear();
@@ -48,11 +48,12 @@ void simulate_block_sort(gpusim::SharedMemory& shm, std::span<word> tile,
     }
     stats.register_compare_steps += odd_even_comparator_count(E);
   }
-  // Register sort is per-thread; perform it on the backing data.
+  // Register sort is per-thread; perform it on the tile (the global copy
+  // is overwritten by the sorted result at the end) and mirror each
+  // thread's sorted keys into shared memory.
   for (u32 t = 0; t < b; ++t) {
     const std::size_t base = static_cast<std::size_t>(t) * E;
-    regs.assign(tile.begin() + static_cast<std::ptrdiff_t>(base),
-                tile.begin() + static_cast<std::ptrdiff_t>(base + E));
+    const std::span<word> regs = tile.subspan(base, E);
     odd_even_sort(regs);
     for (u32 s = 0; s < E; ++s) {
       shm.poke(base + s, regs[s]);
@@ -78,8 +79,10 @@ void simulate_block_sort(gpusim::SharedMemory& shm, std::span<word> tile,
   // at once so warps spanning several pairs share warp steps, as on real
   // hardware.
   const u32 rounds = log2_exact(b);
-  std::vector<ThreadSearchCtx> search_ctxs(b);
-  std::vector<ThreadMergeCtx> ctxs(b);
+  std::vector<ThreadSearchCtx>& search_ctxs = scratch.search_ctxs;
+  std::vector<ThreadMergeCtx>& ctxs = scratch.merge_ctxs;
+  search_ctxs.resize(b);
+  ctxs.resize(b);
   for (u32 round = 1; round <= rounds; ++round) {
     const std::size_t threads_per_pair = std::size_t{1} << round;
     const std::size_t half = (threads_per_pair / 2) * E;  // run size
@@ -96,7 +99,8 @@ void simulate_block_sort(gpusim::SharedMemory& shm, std::span<word> tile,
         c.diag = t * E;
       }
     }
-    const auto coranks = simulate_block_search(shm, search_ctxs, stats);
+    const auto coranks =
+        simulate_block_search(shm, search_ctxs, stats, scratch);
 
     for (std::size_t pair = 0; pair < cfg.tile() / pair_out; ++pair) {
       const std::size_t base = pair * pair_out;
@@ -112,12 +116,12 @@ void simulate_block_sort(gpusim::SharedMemory& shm, std::span<word> tile,
         c.out_begin = base + t * E;
       }
     }
-    simulate_block_merge(shm, ctxs, E, /*write_back=*/true, stats,
+    simulate_block_merge(shm, ctxs, E, /*write_back=*/true, stats, scratch,
                          cfg.realistic_refills);
   }
 
   // Coalesced global store of the sorted tile.
-  const auto sorted = shm.dump(0, cfg.tile());
+  const std::span<const word> sorted = shm.view(0, tile.size());
   std::copy(sorted.begin(), sorted.end(), tile.begin());
   stats.global_transactions += ceil_div(tile.size(), w);
   stats.global_requests += tile.size();

@@ -10,6 +10,7 @@
 
 #include "gpusim/shared_memory.hpp"
 #include "gpusim/stats.hpp"
+#include "sort/block_merge.hpp"
 #include "sort/config.hpp"
 
 namespace wcm::sort {
@@ -20,8 +21,10 @@ using dmm::word;
 /// place.  `shm` must have cfg.tile() words and warp size cfg.w; its stats
 /// are *not* reset (deltas are folded into `stats`).  Counts the coalesced
 /// global load/store of the tile, all shared traffic, and the register
-/// network's compare-exchanges.
+/// network's compare-exchanges.  Works in `scratch` (a warm one makes the
+/// block allocation-free).
 void simulate_block_sort(gpusim::SharedMemory& shm, std::span<word> tile,
-                         const SortConfig& cfg, gpusim::KernelStats& stats);
+                         const SortConfig& cfg, gpusim::KernelStats& stats,
+                         BlockScratch& scratch);
 
 }  // namespace wcm::sort

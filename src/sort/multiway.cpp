@@ -27,27 +27,25 @@ std::size_t multiway_round_count(std::size_t n, const SortConfig& cfg,
 
 namespace {
 
-/// K-way co-rank at output rank `diag` over sorted runs: the per-run counts
-/// (i_1..i_K) of the stable K-way merge prefix (ties go to the lowest run
-/// index).  `steps` accumulates the value-domain bisection iterations (the
-/// dependent probe chain the partitioning stage pays).
-std::vector<std::size_t> kway_corank(
-    const std::vector<std::span<const word>>& runs, std::size_t diag,
-    std::size_t& steps) {
-  std::vector<std::size_t> split(runs.size(), 0);
+/// K-way co-rank at output rank `diag` over sorted runs: writes to `split`
+/// (one entry per run) the per-run counts (i_1..i_K) of the stable K-way
+/// merge prefix (ties go to the lowest run index).  `steps` accumulates the
+/// value-domain bisection iterations (the dependent probe chain the
+/// partitioning stage pays).
+void kway_corank(std::span<const std::span<const word>> runs,
+                 std::size_t diag, std::size_t& steps,
+                 std::span<std::size_t> split) {
+  WCM_EXPECTS(split.size() == runs.size(), "one split per run");
   std::size_t total = 0;
   for (const auto& r : runs) {
     total += r.size();
   }
   WCM_EXPECTS(diag <= total, "diagonal beyond the runs");
-  if (diag == 0) {
-    return split;
-  }
-  if (diag == total) {
+  if (diag == 0 || diag == total) {
     for (std::size_t k = 0; k < runs.size(); ++k) {
-      split[k] = runs[k].size();
+      split[k] = diag == 0 ? 0 : runs[k].size();
     }
-    return split;
+    return;
   }
 
   // Smallest value v with count_le(v) >= diag, by bisection on the value
@@ -99,7 +97,6 @@ std::vector<std::size_t> kway_corank(
     extra -= take;
   }
   WCM_ENSURES(extra == 0, "tie distribution must reach the diagonal");
-  return split;
 }
 
 /// One thread's K segments in shared memory.
@@ -116,14 +113,45 @@ struct ThreadKCtx {
   }
 };
 
+/// One block of a global K-way round: `ways` source segments, starting at
+/// `ranges[first]`, as absolute [begin, end) positions in the round's
+/// input, and the start of its output tile.
+struct KwayTile {
+  std::size_t first = 0;
+  std::size_t ways = 0;
+  std::size_t out = 0;
+};
+
+/// One simulated bisection interval [lo, hi) of account_kway_searches.
+struct Range {
+  std::size_t lo = 0;
+  std::size_t hi = 0;
+};
+
+/// One worker's reusable per-block buffers: a warm scratch makes a K-way
+/// block allocation-free.
+struct alignas(kWorkerAlign) KwayScratch {
+  std::vector<ThreadKCtx> ctxs;
+  std::vector<word> staged;
+  std::vector<std::pair<std::size_t, std::size_t>> seg_addr;
+  std::vector<std::span<const word>> segs;
+  std::vector<std::size_t> tsplit;  // (b + 1) x K thread co-ranks
+  std::vector<Range> ranges;
+  std::vector<std::size_t> cursor;  // b x K merge cursors
+  std::vector<word> regs;
+  std::vector<gpusim::LaneWrite> writes;
+  std::vector<gpusim::LaneRead> reads;
+};
+
 /// Account each thread's in-block quantile search: one binary search per
 /// run per thread (log2(|seg|) warp-synchronous probe loads), the dominant
 /// probe traffic of the K-way partition in shared memory.
 void account_kway_searches(gpusim::SharedMemory& shm,
                            std::span<const ThreadKCtx> ctxs, u32 w,
-                           gpusim::KernelStats& stats) {
+                           gpusim::KernelStats& stats, KwayScratch& scratch) {
   const std::size_t runs = ctxs.empty() ? 0 : ctxs[0].segs.size();
-  std::vector<gpusim::LaneRead> probes;
+  std::vector<gpusim::LaneRead>& probes = scratch.reads;
+  std::vector<Range>& r = scratch.ranges;
   const auto before = shm.begin_phase();
   for (std::size_t warp_start = 0; warp_start < ctxs.size();
        warp_start += w) {
@@ -131,10 +159,7 @@ void account_kway_searches(gpusim::SharedMemory& shm,
         std::min<std::size_t>(warp_start + w, ctxs.size());
     for (std::size_t k = 0; k < runs; ++k) {
       // Per-lane simulated bisection over its k-th segment.
-      struct Range {
-        std::size_t lo, hi;
-      };
-      std::vector<Range> r;
+      r.clear();
       for (std::size_t i = warp_start; i < warp_end; ++i) {
         r.push_back({ctxs[i].segs[k].first, ctxs[i].segs[k].second});
       }
@@ -169,36 +194,38 @@ void account_kway_searches(gpusim::SharedMemory& shm,
 /// accounted shared read per thread per iteration, exactly like the
 /// pairwise engine.  A selection among K heads costs ceil(log2 K) extra
 /// compare steps, charged to warp_merge_steps.
-std::vector<word> simulate_kway_merge(gpusim::SharedMemory& shm,
-                                      std::span<ThreadKCtx> ctxs, u32 E,
-                                      gpusim::KernelStats& stats) {
+void simulate_kway_merge(gpusim::SharedMemory& shm,
+                         std::span<const ThreadKCtx> ctxs, u32 E,
+                         gpusim::KernelStats& stats, KwayScratch& scratch) {
   const u32 w = shm.warp_size();
   const std::size_t t = ctxs.size();
-  std::vector<std::vector<std::size_t>> cursor(t);
+  const std::size_t ways = ctxs.empty() ? 0 : ctxs[0].segs.size();
+  std::vector<std::size_t>& cursor = scratch.cursor;  // thread i, run k
+  cursor.resize(t * ways);
   for (std::size_t i = 0; i < t; ++i) {
     WCM_EXPECTS(ctxs[i].elements() == E, "thread must merge exactly E keys");
-    for (const auto& [b, e] : ctxs[i].segs) {
-      (void)e;
-      cursor[i].push_back(b);
+    WCM_EXPECTS(ctxs[i].segs.size() == ways, "every thread has K segments");
+    for (std::size_t k = 0; k < ways; ++k) {
+      cursor[i * ways + k] = ctxs[i].segs[k].first;
     }
   }
-  std::vector<word> regs(t * E);
-  const u32 sel_depth = ctxs.empty() || ctxs[0].segs.size() < 2
-                            ? 1
-                            : floor_log2(2 * ctxs[0].segs.size() - 1);
+  std::vector<word>& regs = scratch.regs;
+  regs.resize(t * E);
+  const u32 sel_depth = ways < 2 ? 1 : floor_log2(2 * ways - 1);
 
   const auto before = shm.begin_phase();
-  std::vector<gpusim::LaneRead> reads;
+  std::vector<gpusim::LaneRead>& reads = scratch.reads;
   for (std::size_t warp_start = 0; warp_start < t; warp_start += w) {
     const std::size_t warp_end = std::min<std::size_t>(warp_start + w, t);
     for (u32 s = 0; s < E; ++s) {
       reads.clear();
       for (std::size_t i = warp_start; i < warp_end; ++i) {
+        std::size_t* cur = cursor.data() + i * ways;
         std::size_t best = static_cast<std::size_t>(-1);
         word best_val = 0;
-        for (std::size_t k = 0; k < ctxs[i].segs.size(); ++k) {
-          if (cursor[i][k] < ctxs[i].segs[k].second) {
-            const word v = shm.peek(cursor[i][k]);
+        for (std::size_t k = 0; k < ways; ++k) {
+          if (cur[k] < ctxs[i].segs[k].second) {
+            const word v = shm.peek(cur[k]);
             if (best == static_cast<std::size_t>(-1) || v < best_val) {
               best = k;
               best_val = v;
@@ -207,8 +234,8 @@ std::vector<word> simulate_kway_merge(gpusim::SharedMemory& shm,
         }
         WCM_EXPECTS(best != static_cast<std::size_t>(-1),
                     "thread ran out of elements before step E");
-        const std::size_t addr = cursor[i][best]++;
-        regs[(i) * E + s] = best_val;
+        const std::size_t addr = cur[best]++;
+        regs[i * E + s] = best_val;
         reads.push_back({static_cast<u32>(i - warp_start), addr});
       }
       shm.warp_read(reads);
@@ -219,7 +246,7 @@ std::vector<word> simulate_kway_merge(gpusim::SharedMemory& shm,
 
   // Barrier, thread-contiguous write-back, barrier before unstaging reads.
   shm.barrier();
-  std::vector<gpusim::LaneWrite> writes;
+  std::vector<gpusim::LaneWrite>& writes = scratch.writes;
   for (std::size_t warp_start = 0; warp_start < t; warp_start += w) {
     const std::size_t warp_end = std::min<std::size_t>(warp_start + w, t);
     for (u32 s = 0; s < E; ++s) {
@@ -232,33 +259,12 @@ std::vector<word> simulate_kway_merge(gpusim::SharedMemory& shm,
     }
   }
   shm.barrier();
-  return regs;
 }
-
-/// One block of a global K-way round: `ways` source segments, starting at
-/// `ranges[first]`, as absolute [begin, end) positions in the round's
-/// input, and the start of its output tile.
-struct KwayTile {
-  std::size_t first = 0;
-  std::size_t ways = 0;
-  std::size_t out = 0;
-};
-
-/// One worker's reusable per-block buffers.
-struct alignas(kWorkerAlign) KwayScratch {
-  std::vector<ThreadKCtx> ctxs;
-  std::vector<word> staged;
-  std::vector<std::pair<std::size_t, std::size_t>> seg_addr;
-  std::vector<std::span<const word>> segs;
-  std::vector<std::vector<std::size_t>> tsplit;
-  std::vector<gpusim::LaneWrite> writes;
-  std::vector<gpusim::LaneRead> reads;
-};
 
 /// Partitioning stage of one group of K runs starting at absolute position
 /// `base`: K-way co-ranks at every tile boundary, charged to `stats`.
 /// Appends the group's blocks to `tiles` and their segments to `ranges`.
-void partition_group(const std::vector<std::span<const word>>& runs,
+void partition_group(std::span<const std::span<const word>> runs,
                      std::size_t base, std::size_t tile,
                      gpusim::KernelStats& stats, std::vector<KwayTile>& tiles,
                      std::vector<std::pair<std::size_t, std::size_t>>& ranges) {
@@ -269,10 +275,12 @@ void partition_group(const std::vector<std::span<const word>>& runs,
   WCM_EXPECTS(total % tile == 0, "group size must be a multiple of bE");
 
   std::size_t steps = 0;
-  std::vector<std::size_t> lo = kway_corank(runs, 0, steps);
+  std::vector<std::size_t> lo(runs.size());
+  std::vector<std::size_t> hi(runs.size());
+  kway_corank(runs, 0, steps, lo);
   for (std::size_t diag = tile; diag <= total; diag += tile) {
     steps = 0;
-    std::vector<std::size_t> hi = kway_corank(runs, diag, steps);
+    kway_corank(runs, diag, steps, hi);
     stats.binary_search_steps += steps;
     stats.global_requests += steps * runs.size();
     stats.global_transactions += steps * runs.size();
@@ -282,7 +290,7 @@ void partition_group(const std::vector<std::span<const word>>& runs,
       ranges.emplace_back(run_base + lo[k], run_base + hi[k]);
       run_base += runs[k].size();
     }
-    lo = std::move(hi);
+    lo.swap(hi);
   }
 }
 
@@ -299,7 +307,14 @@ void simulate_kway_tile(
   const u32 b = cfg.b;
   const u32 w = cfg.w;
   const std::size_t ways = ranges.size();
-  auto& [ctxs, staged, seg_addr, segs, tsplit, writes, reads] = scratch;
+  std::vector<ThreadKCtx>& ctxs = scratch.ctxs;
+  std::vector<word>& staged = scratch.staged;
+  std::vector<std::pair<std::size_t, std::size_t>>& seg_addr =
+      scratch.seg_addr;
+  std::vector<std::span<const word>>& segs = scratch.segs;
+  std::vector<std::size_t>& tsplit = scratch.tsplit;
+  std::vector<gpusim::LaneWrite>& writes = scratch.writes;
+  std::vector<gpusim::LaneRead>& reads = scratch.reads;
 
   // Block boundary between consecutive simulated tiles.
   shm.barrier();
@@ -341,23 +356,24 @@ void simulate_kway_tile(
     segs[k] = std::span<const word>(staged).subspan(
         seg_addr[k].first, seg_addr[k].second - seg_addr[k].first);
   }
-  tsplit.resize(b + 1);
+  tsplit.resize((static_cast<std::size_t>(b) + 1) * ways);
   for (u32 t = 0; t <= b; ++t) {
     std::size_t steps = 0;
-    tsplit[t] = kway_corank(segs, static_cast<std::size_t>(t) * E, steps);
+    kway_corank(segs, static_cast<std::size_t>(t) * E, steps,
+                std::span(tsplit).subspan(t * ways, ways));
   }
   ctxs.resize(b);
   for (u32 t = 0; t < b; ++t) {
     ctxs[t].segs.resize(ways);
     for (std::size_t k = 0; k < ways; ++k) {
-      ctxs[t].segs[k] = {seg_addr[k].first + tsplit[t][k],
-                         seg_addr[k].first + tsplit[t + 1][k]};
+      ctxs[t].segs[k] = {seg_addr[k].first + tsplit[t * ways + k],
+                         seg_addr[k].first + tsplit[(t + 1) * ways + k]};
     }
     ctxs[t].out_begin = static_cast<std::size_t>(t) * E;
   }
-  account_kway_searches(shm, ctxs, w, stats);
+  account_kway_searches(shm, ctxs, w, stats, scratch);
 
-  simulate_kway_merge(shm, ctxs, E, stats);
+  simulate_kway_merge(shm, ctxs, E, stats, scratch);
 
   // Coalesced store (conflict-free unstaging reads, as in the pairwise
   // engine).
@@ -374,9 +390,9 @@ void simulate_kway_tile(
       shm.warp_read(reads);
     }
   }
-  for (std::size_t i = 0; i < tile; ++i) {
-    out[out_pos + i] = shm.peek(i);
-  }
+  const std::span<const word> merged = shm.view(0, tile);
+  std::copy(merged.begin(), merged.end(),
+            out.begin() + static_cast<std::ptrdiff_t>(out_pos));
   stats.global_transactions += tile / w;
   stats.global_requests += tile;
   stats.blocks_launched += 1;
@@ -411,6 +427,7 @@ SortReport multiway_merge_sort(std::span<const word> input,
   std::vector<word> buffer(n);
   BlockFanOut fan_out(cfg, n / tile);
   std::vector<KwayScratch> scratch(fan_out.width());
+  std::vector<std::span<const word>> runs;
   std::vector<KwayTile> tiles;
   std::vector<std::pair<std::size_t, std::size_t>> ranges;
 
@@ -435,7 +452,7 @@ SortReport multiway_merge_sort(std::span<const word> input,
     ranges.clear();
     const std::size_t group_out = run * ways;
     for (std::size_t base = 0; base < n; base += group_out) {
-      std::vector<std::span<const word>> runs;
+      runs.clear();
       std::size_t group_size = 0;
       for (u32 k = 0; k < ways && base + group_size < n; ++k) {
         const std::size_t len = std::min(run, n - base - group_size);
@@ -453,13 +470,12 @@ SortReport multiway_merge_sort(std::span<const word> input,
       partition_group(runs, base, tile, stats, tiles, ranges);
     }
     stats += fan_out.run(
-        tiles.size(), [&](std::size_t block, u32 worker,
-                          gpusim::SharedMemory& shm,
+        tiles.size(), [&](std::size_t block, BlockWorker& worker,
                           gpusim::KernelStats& block_stats) {
           const KwayTile& t = tiles[block];
           simulate_kway_tile(
               data, std::span(ranges).subspan(t.first, t.ways), t.out, buffer,
-              cfg, shm, scratch[worker], block_stats);
+              cfg, worker.shm, scratch[worker.index], block_stats);
         });
     data.swap(buffer);
     append_round(report, "multiway",

@@ -48,28 +48,8 @@ std::size_t coalesced_transactions(std::size_t base, std::size_t count,
   return last - first + 1;
 }
 
-/// One block of a global merge round: its A and B segments, as absolute
-/// positions in the round's input, and the start of its output tile.
-struct PairTile {
-  std::size_t a = 0;
-  std::size_t na = 0;
-  std::size_t b = 0;
-  std::size_t nb = 0;
-  std::size_t out = 0;
-};
+}  // namespace
 
-/// One worker's reusable per-block buffers.
-struct alignas(kWorkerAlign) PairScratch {
-  std::vector<ThreadSearchCtx> search_ctxs;
-  std::vector<ThreadMergeCtx> merge_ctxs;
-  std::vector<gpusim::LaneWrite> writes;
-  std::vector<gpusim::LaneRead> reads;
-};
-
-/// Partitioning stage of one pair of sorted runs (absolute positions
-/// `a_base` and `b_base` of `data`): mutual binary search in global memory
-/// for every tile boundary (one dependent probe chain per thread block),
-/// charged to `stats`.  Appends the pair's blocks to `tiles`.
 void partition_pair(std::span<const word> data, std::size_t a_base,
                     std::size_t len_a, std::size_t b_base, std::size_t len_b,
                     std::size_t tile, gpusim::KernelStats& stats,
@@ -87,11 +67,9 @@ void partition_pair(std::span<const word> data, std::size_t a_base,
   }
 }
 
-/// Simulate one thread block of a global merge round: merge its A and B
-/// segments of `data` into its output tile of `out`.
 void simulate_pair_tile(std::span<const word> data, const PairTile& blk,
                         std::span<word> out, const SortConfig& cfg,
-                        gpusim::SharedMemory& shm, PairScratch& scratch,
+                        gpusim::SharedMemory& shm, BlockScratch& scratch,
                         gpusim::KernelStats& stats) {
   const std::size_t tile = cfg.tile();
   const u32 E = cfg.E;
@@ -99,7 +77,10 @@ void simulate_pair_tile(std::span<const word> data, const PairTile& blk,
   const u32 w = cfg.w;
   const std::size_t na = blk.na;
   const std::size_t nb = blk.nb;
-  auto& [search_ctxs, merge_ctxs, writes, reads] = scratch;
+  std::vector<ThreadSearchCtx>& search_ctxs = scratch.search_ctxs;
+  std::vector<ThreadMergeCtx>& merge_ctxs = scratch.merge_ctxs;
+  std::vector<gpusim::LaneWrite>& writes = scratch.writes;
+  std::vector<gpusim::LaneRead>& reads = scratch.reads;
   search_ctxs.resize(b);
   merge_ctxs.resize(b);
 
@@ -135,7 +116,8 @@ void simulate_pair_tile(std::span<const word> data, const PairTile& blk,
   for (u32 t = 0; t < b; ++t) {
     search_ctxs[t] = {0, na, na, na + nb, static_cast<std::size_t>(t) * E};
   }
-  const auto coranks = simulate_block_search(shm, search_ctxs, stats);
+  const auto coranks =
+      simulate_block_search(shm, search_ctxs, stats, scratch);
   for (u32 t = 0; t < b; ++t) {
     const bool last = t + 1 == b;
     merge_ctxs[t].a_begin = coranks[t].i;
@@ -148,7 +130,7 @@ void simulate_pair_tile(std::span<const word> data, const PairTile& blk,
   // Lock-step merge to registers, barrier, write-back to shared in rank
   // order (this is the attacked access stream).
   simulate_block_merge(shm, merge_ctxs, E, /*write_back=*/true, stats,
-                       cfg.realistic_refills);
+                       scratch, cfg.realistic_refills);
 
   // Coalesced store to global: thread t reads shared elements t, t+b, ...
   // (bank-conflict free) and writes them out coalesced.
@@ -165,16 +147,14 @@ void simulate_pair_tile(std::span<const word> data, const PairTile& blk,
       shm.warp_read(reads);
     }
   }
-  for (std::size_t i = 0; i < tile; ++i) {
-    out[blk.out + i] = shm.peek(i);
-  }
+  const std::span<const word> merged = shm.view(0, tile);
+  std::copy(merged.begin(), merged.end(),
+            out.begin() + static_cast<std::ptrdiff_t>(blk.out));
   stats.global_transactions += tile / w;
   stats.global_requests += tile;
   stats.blocks_launched += 1;
   stats.elements_processed += tile;
 }
-
-}  // namespace
 
 SortReport recost(const SortReport& report, const gpusim::Device& dev,
                   MergeSortLibrary lib) {
@@ -219,7 +199,6 @@ SortReport pairwise_merge_sort(std::span<const word> input,
   std::vector<word> data(input.begin(), input.end());
   std::vector<word> buffer(n);
   BlockFanOut fan_out(cfg, n / tile);
-  std::vector<PairScratch> scratch(fan_out.width());
   std::vector<PairTile> tiles;
 
   WCM_SPAN("pairwise.sort");
@@ -257,11 +236,10 @@ SortReport pairwise_merge_sort(std::span<const word> input,
                      std::min(run, n - base - run), tile, stats, tiles);
     }
     stats += fan_out.run(
-        tiles.size(), [&](std::size_t block, u32 worker,
-                          gpusim::SharedMemory& shm,
+        tiles.size(), [&](std::size_t block, BlockWorker& worker,
                           gpusim::KernelStats& block_stats) {
-          simulate_pair_tile(data, tiles[block], buffer, cfg, shm,
-                             scratch[worker], block_stats);
+          simulate_pair_tile(data, tiles[block], buffer, cfg, worker.shm,
+                             worker.scratch, block_stats);
         });
     data.swap(buffer);
     append_round(report, "pairwise",

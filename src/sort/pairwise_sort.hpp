@@ -14,9 +14,12 @@
 #include <span>
 #include <vector>
 
+#include "gpusim/shared_memory.hpp"
 #include "sort/report.hpp"
 
 namespace wcm::sort {
+
+struct BlockScratch;
 
 /// Library flavor: same algorithm, different tuning defaults and
 /// calibration constants.
@@ -50,5 +53,33 @@ enum class MergeSortLibrary { thrust, mgpu };
     std::span<const word> input, const SortConfig& cfg,
     const gpusim::Device& dev, MergeSortLibrary lib = MergeSortLibrary::thrust,
     std::vector<word>* output = nullptr);
+
+/// One thread block of a global merge round: its A and B segments, as
+/// absolute positions in the round's input, and the start of its output
+/// tile.
+struct PairTile {
+  std::size_t a = 0;
+  std::size_t na = 0;
+  std::size_t b = 0;
+  std::size_t nb = 0;
+  std::size_t out = 0;
+};
+
+/// Partitioning stage of one pair of sorted runs (absolute positions
+/// `a_base` and `b_base` of `data`): mutual binary search in global memory
+/// for every tile boundary (one dependent probe chain per thread block),
+/// charged to `stats`.  Appends the pair's blocks to `tiles`.
+void partition_pair(std::span<const word> data, std::size_t a_base,
+                    std::size_t len_a, std::size_t b_base, std::size_t len_b,
+                    std::size_t tile, gpusim::KernelStats& stats,
+                    std::vector<PairTile>& tiles);
+
+/// Simulate one thread block of a global merge round: merge its A and B
+/// segments of `data` into its output tile of `out`.  `shm` has cfg.tile()
+/// words; a warm `scratch` makes the block allocation-free.
+void simulate_pair_tile(std::span<const word> data, const PairTile& blk,
+                        std::span<word> out, const SortConfig& cfg,
+                        gpusim::SharedMemory& shm, BlockScratch& scratch,
+                        gpusim::KernelStats& stats);
 
 }  // namespace wcm::sort

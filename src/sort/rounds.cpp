@@ -13,7 +13,7 @@ BlockFanOut::BlockFanOut(const SortConfig& cfg, std::size_t max_blocks) {
   const gpusim::SharedLayout layout{cfg.w, cfg.padding, cfg.layout};
   workers_.reserve(width);
   for (u32 i = 0; i < width; ++i) {
-    workers_.push_back({gpusim::SharedMemory(layout, cfg.tile())});
+    workers_.push_back({i, gpusim::SharedMemory(layout, cfg.tile()), {}});
   }
   workers_.front().shm.attach_trace(cfg.trace_sink);
 }
@@ -21,11 +21,11 @@ BlockFanOut::BlockFanOut(const SortConfig& cfg, std::size_t max_blocks) {
 gpusim::KernelStats BlockFanOut::run(std::size_t count, const Body& body) {
   slots_.assign(count, {});
   parallel_for(count, width(), [&](std::size_t block, u32 worker) {
-    gpusim::SharedMemory& shm = workers_[worker].shm;
+    BlockWorker& w = workers_[worker];
     gpusim::KernelStats stats;  // on this worker's stack until complete
-    shm.reset_stats();
-    body(block, worker, shm, stats);
-    stats.shared += shm.stats();
+    w.shm.reset_stats();
+    body(block, w, stats);
+    stats.shared += w.shm.stats();
     slots_[block] = stats;
   });
   gpusim::KernelStats sum;
@@ -59,10 +59,10 @@ void block_sort_round(std::span<word> data, BlockFanOut& fan_out,
   const std::size_t tile = cfg.tile();
   const gpusim::KernelStats stats = fan_out.run(
       data.size() / tile,
-      [&](std::size_t block, u32 /*worker*/, gpusim::SharedMemory& shm,
+      [&](std::size_t block, BlockWorker& worker,
           gpusim::KernelStats& block_stats) {
-        simulate_block_sort(shm, data.subspan(block * tile, tile), cfg,
-                            block_stats);
+        simulate_block_sort(worker.shm, data.subspan(block * tile, tile), cfg,
+                            block_stats, worker.scratch);
         block_stats.blocks_launched += 1;
         block_stats.elements_processed += tile;
       });

@@ -7,7 +7,8 @@
 // block owns its shared memory, so the tiles of a round are independent
 // (Merge Path partitioning fixes every tile's inputs before any block
 // runs).  BlockFanOut simulates them on up to W host threads, each worker
-// with its own SharedMemory.  Every block writes its KernelStats into its
+// with its own SharedMemory and block-kernel scratch, so a warm block
+// allocates nothing.  Every block writes its KernelStats into its
 // own slot and the slots are summed in block order; all counters are
 // integer sums or maxima, so a SortReport is bit-identical for any W.
 
@@ -19,6 +20,7 @@
 #include "gpusim/cost_model.hpp"
 #include "gpusim/shared_memory.hpp"
 #include "gpusim/stats.hpp"
+#include "sort/block_merge.hpp"
 #include "sort/report.hpp"
 
 namespace wcm::sort {
@@ -28,13 +30,20 @@ namespace wcm::sort {
 /// state may share a cache line (or the adjacent-line prefetch pair).
 inline constexpr std::size_t kWorkerAlign = 128;
 
+/// What one fan-out worker owns: its index (for engine-specific per-worker
+/// state), its shared memory and its block kernels' scratch.
+struct alignas(kWorkerAlign) BlockWorker {
+  u32 index = 0;
+  gpusim::SharedMemory shm;
+  BlockScratch scratch;
+};
+
 class BlockFanOut {
  public:
-  /// One block: its index in the round, the worker running it (for
-  /// per-worker scratch), that worker's shared memory (statistics already
-  /// reset) and the stats the block adds its counters to.
-  using Body = std::function<void(std::size_t block, u32 worker,
-                                  gpusim::SharedMemory& shm,
+  /// One block: its index in the round, the worker running it (shared
+  /// memory statistics already reset) and the stats the block adds its
+  /// counters to.
+  using Body = std::function<void(std::size_t block, BlockWorker& worker,
                                   gpusim::KernelStats& stats)>;
 
   /// Workers for rounds of at most `max_blocks` blocks: parallel_width()
@@ -52,10 +61,7 @@ class BlockFanOut {
   [[nodiscard]] gpusim::KernelStats run(std::size_t count, const Body& body);
 
  private:
-  struct alignas(kWorkerAlign) Worker {
-    gpusim::SharedMemory shm;
-  };
-  std::vector<Worker> workers_;
+  std::vector<BlockWorker> workers_;
   std::vector<gpusim::KernelStats> slots_;  // one per block of a round
 };
 

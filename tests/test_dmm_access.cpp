@@ -170,6 +170,23 @@ TEST(StepCost, Accumulation) {
   EXPECT_EQ(a.max_bank_degree, 3u);
 }
 
+TEST(MachineStats, MergeOfTotals) {
+  MachineStats a;
+  a.steps = 1;
+  a.requests = 2;
+  a.serialization_cycles = 3;
+  a.replays = 1;
+  a.conflicting_accesses = 2;
+  a.max_bank_degree = 2;
+  MachineStats b = a;
+  b.max_bank_degree = 5;
+  a += b;
+  EXPECT_EQ(a.steps, 2u);
+  EXPECT_EQ(a.requests, 4u);
+  EXPECT_EQ(a.serialization_cycles, 6u);
+  EXPECT_EQ(a.max_bank_degree, 5u);
+}
+
 TEST(RenderBankMatrix, LayoutAndLabels) {
   const std::string s =
       render_bank_matrix(6, 4, [](std::size_t a) { return std::to_string(a); });

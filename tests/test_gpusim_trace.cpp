@@ -72,7 +72,8 @@ TEST(Trace, ReplayReproducesLiveStats) {
   TraceRecorder rec(cfg.w);
   shm.attach_trace(&rec);
   KernelStats stats;
-  wcm::sort::simulate_block_sort(shm, tile, cfg, stats);
+  wcm::sort::BlockScratch scratch;
+  wcm::sort::simulate_block_sort(shm, tile, cfg, stats, scratch);
 
   const auto replayed = replay_stats(rec.trace(), shm.layout());
   EXPECT_EQ(replayed.steps, shm.stats().steps);

@@ -16,6 +16,25 @@
 namespace wcm::sort {
 namespace {
 
+/// simulate_block_search on a fresh scratch, its co-ranks copied out.
+std::vector<mergepath::CoRank> block_search(
+    gpusim::SharedMemory& shm, std::span<const ThreadSearchCtx> ctxs,
+    gpusim::KernelStats& stats) {
+  BlockScratch scratch;
+  const auto coranks = simulate_block_search(shm, ctxs, stats, scratch);
+  return {coranks.begin(), coranks.end()};
+}
+
+/// simulate_block_merge on a fresh scratch, its merged keys copied out.
+std::vector<word> block_merge(gpusim::SharedMemory& shm,
+                              std::span<const ThreadMergeCtx> ctxs, u32 E,
+                              bool write_back, gpusim::KernelStats& stats) {
+  BlockScratch scratch;
+  const auto regs =
+      simulate_block_merge(shm, ctxs, E, write_back, stats, scratch);
+  return {regs.begin(), regs.end()};
+}
+
 /// Shared memory preloaded with sorted A at [0, na) and sorted B at
 /// [na, na+nb).
 gpusim::SharedMemory make_shm(const std::vector<word>& a,
@@ -48,7 +67,7 @@ TEST(BlockSearch, MatchesHostMergePath) {
     ctxs[t] = {0, a.size(), a.size(), a.size() + b.size(),
                static_cast<std::size_t>(t) * E};
   }
-  const auto sim = simulate_block_search(shm, ctxs, stats);
+  const auto sim = block_search(shm, ctxs, stats);
   for (u32 t = 0; t < 64; ++t) {
     const auto host = mergepath::merge_path(a, b, t * E);
     EXPECT_EQ(sim[t].i, host.split.i) << "t=" << t;
@@ -71,7 +90,7 @@ TEST(BlockMerge, OutputMatchesSerialMerge) {
     sctx[t] = {0, a.size(), a.size(), a.size() + b.size(),
                static_cast<std::size_t>(t) * E};
   }
-  const auto coranks = simulate_block_search(shm, sctx, stats);
+  const auto coranks = block_search(shm, sctx, stats);
   std::vector<ThreadMergeCtx> mctx(threads);
   for (u32 t = 0; t < threads; ++t) {
     const bool last = t + 1 == threads;
@@ -81,7 +100,7 @@ TEST(BlockMerge, OutputMatchesSerialMerge) {
     mctx[t].b_end = a.size() + (last ? b.size() : coranks[t + 1].j);
     mctx[t].out_begin = static_cast<std::size_t>(t) * E;
   }
-  const auto regs = simulate_block_merge(shm, mctx, E, /*write_back=*/true,
+  const auto regs = block_merge(shm, mctx, E, /*write_back=*/true,
                                          stats);
   const auto expected = mergepath::serial_merge(a, b);
   EXPECT_EQ(regs, expected);
@@ -101,7 +120,7 @@ TEST(BlockMerge, AccountsOneReadPerElementPerRound) {
   for (u32 t = 0; t < 32; ++t) {
     sctx[t] = {0, a.size(), a.size(), 160, static_cast<std::size_t>(t) * E};
   }
-  const auto coranks = simulate_block_search(shm, sctx, stats);
+  const auto coranks = block_search(shm, sctx, stats);
   const auto before = stats.shared_merge_reads.requests;
   for (u32 t = 0; t < 32; ++t) {
     const bool last = t + 1 == 32;
@@ -110,7 +129,7 @@ TEST(BlockMerge, AccountsOneReadPerElementPerRound) {
                a.size() + (last ? b.size() : coranks[t + 1].j),
                static_cast<std::size_t>(t) * E};
   }
-  (void)simulate_block_merge(shm, mctx, E, false, stats);
+  (void)block_merge(shm, mctx, E, false, stats);
   EXPECT_EQ(stats.shared_merge_reads.requests - before, 160u);
   EXPECT_EQ(stats.warp_merge_steps, E);  // one warp, E lock-step iterations
 }
@@ -131,13 +150,13 @@ TEST(BlockMerge, PhaseSubsetsReportTheirOwnWorstBank) {
 
   // One lane bisects A = [0, 32) against B = [32, 64): one probe a step.
   const std::vector<ThreadSearchCtx> search{{0, 32, 32, 64, 32}};
-  (void)simulate_block_search(shm, search, stats);
+  (void)block_search(shm, search, stats);
   // 32 lanes each consume one key of [0, 32): conflict-free.
   std::vector<ThreadMergeCtx> merge(32);
   for (u32 t = 0; t < 32; ++t) {
     merge[t] = {t, t + 1u, 32, 32, t};
   }
-  (void)simulate_block_merge(shm, merge, 1, /*write_back=*/false, stats);
+  (void)block_merge(shm, merge, 1, /*write_back=*/false, stats);
 
   EXPECT_GT(stats.shared_search.steps, 0u);
   EXPECT_EQ(stats.shared_search.max_bank_degree, 1u);
@@ -152,7 +171,7 @@ TEST(BlockMerge, RejectsWrongQuantileSize) {
   gpusim::KernelStats stats;
   std::vector<ThreadMergeCtx> ctxs(1);
   ctxs[0] = {0, 3, 32, 34, 0};  // 5 elements, E = 4
-  EXPECT_THROW((void)simulate_block_merge(shm, ctxs, 4, false, stats),
+  EXPECT_THROW((void)block_merge(shm, ctxs, 4, false, stats),
                contract_error);
 }
 
@@ -161,9 +180,9 @@ TEST(BlockSearch, RejectsBadRanges) {
   gpusim::KernelStats stats;
   std::vector<ThreadSearchCtx> bad(1);
   bad[0] = {0, 100, 0, 0, 0};  // a_end beyond shared memory
-  EXPECT_THROW((void)simulate_block_search(shm, bad, stats), contract_error);
+  EXPECT_THROW((void)block_search(shm, bad, stats), contract_error);
   bad[0] = {0, 32, 32, 64, 70};  // diagonal beyond both lists
-  EXPECT_THROW((void)simulate_block_search(shm, bad, stats), contract_error);
+  EXPECT_THROW((void)block_search(shm, bad, stats), contract_error);
 }
 
 TEST(BlockMerge, TiesPreferA) {
@@ -175,7 +194,7 @@ TEST(BlockMerge, TiesPreferA) {
   std::vector<ThreadMergeCtx> ctxs(2);
   ctxs[0] = {0, 5, 5, 5, 0};    // all of A
   ctxs[1] = {5, 5, 5, 10, 5};   // all of B
-  const auto regs = simulate_block_merge(shm, ctxs, 5, false, stats);
+  const auto regs = block_merge(shm, ctxs, 5, false, stats);
   EXPECT_EQ(regs, mergepath::serial_merge(a, b));
 }
 

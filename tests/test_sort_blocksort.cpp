@@ -16,6 +16,13 @@
 namespace wcm::sort {
 namespace {
 
+/// simulate_block_sort on a fresh scratch.
+void block_sort(gpusim::SharedMemory& shm, std::span<word> tile,
+                const SortConfig& cfg, gpusim::KernelStats& stats) {
+  BlockScratch scratch;
+  simulate_block_sort(shm, tile, cfg, stats, scratch);
+}
+
 SortConfig tiny() { return SortConfig{5, 64, 32}; }
 
 TEST(BlockSort, SortsRandomTile) {
@@ -23,7 +30,7 @@ TEST(BlockSort, SortsRandomTile) {
   auto tile = workload::random_permutation(cfg.tile(), 17);
   gpusim::SharedMemory shm(cfg.w, cfg.tile());
   gpusim::KernelStats stats;
-  simulate_block_sort(shm, tile, cfg, stats);
+  block_sort(shm, tile, cfg, stats);
   EXPECT_TRUE(std::is_sorted(tile.begin(), tile.end()));
   EXPECT_EQ(tile.front(), 0);
   EXPECT_EQ(tile.back(), static_cast<word>(cfg.tile() - 1));
@@ -37,7 +44,7 @@ TEST(BlockSort, SortsAdversarialPatterns) {
         workload::InputKind::nearly_sorted}) {
     auto tile = workload::make_input(kind, cfg.tile(), cfg, 3);
     gpusim::KernelStats stats;
-    simulate_block_sort(shm, tile, cfg, stats);
+    block_sort(shm, tile, cfg, stats);
     EXPECT_TRUE(std::is_sorted(tile.begin(), tile.end()));
   }
 }
@@ -47,7 +54,7 @@ TEST(BlockSort, StatsAccounting) {
   auto tile = workload::random_permutation(cfg.tile(), 5);
   gpusim::SharedMemory shm(cfg.w, cfg.tile());
   gpusim::KernelStats stats;
-  simulate_block_sort(shm, tile, cfg, stats);
+  block_sort(shm, tile, cfg, stats);
 
   // Coalesced load + store of the tile.
   EXPECT_EQ(stats.global_transactions, 2 * cfg.tile() / cfg.w);
@@ -75,12 +82,12 @@ TEST(BlockSort, DeterministicStats) {
   {
     auto tile = input;
     gpusim::SharedMemory shm(cfg.w, cfg.tile());
-    simulate_block_sort(shm, tile, cfg, s1);
+    block_sort(shm, tile, cfg, s1);
   }
   {
     auto tile = input;
     gpusim::SharedMemory shm(cfg.w, cfg.tile());
-    simulate_block_sort(shm, tile, cfg, s2);
+    block_sort(shm, tile, cfg, s2);
   }
   EXPECT_EQ(s1.shared_merge_reads.serialization_cycles,
             s2.shared_merge_reads.serialization_cycles);
@@ -94,12 +101,12 @@ TEST(BlockSort, SortedInputHasFewerMergeConflictsThanRandom) {
   gpusim::KernelStats sorted_stats, random_stats;
   {
     auto tile = workload::sorted_input(cfg.tile());
-    simulate_block_sort(shm, tile, cfg, sorted_stats);
+    block_sort(shm, tile, cfg, sorted_stats);
     shm.reset_stats();
   }
   {
     auto tile = workload::random_permutation(cfg.tile(), 11);
-    simulate_block_sort(shm, tile, cfg, random_stats);
+    block_sort(shm, tile, cfg, random_stats);
   }
   EXPECT_LT(sorted_stats.shared_merge_reads.replays,
             random_stats.shared_merge_reads.replays);
@@ -110,11 +117,11 @@ TEST(BlockSort, ContractChecks) {
   gpusim::SharedMemory shm(cfg.w, cfg.tile());
   gpusim::KernelStats stats;
   std::vector<word> wrong_size(cfg.tile() - 1);
-  EXPECT_THROW(simulate_block_sort(shm, wrong_size, cfg, stats),
+  EXPECT_THROW(block_sort(shm, wrong_size, cfg, stats),
                contract_error);
   gpusim::SharedMemory small(cfg.w, cfg.tile() - 1);
   std::vector<word> tile(cfg.tile());
-  EXPECT_THROW(simulate_block_sort(small, tile, cfg, stats), contract_error);
+  EXPECT_THROW(block_sort(small, tile, cfg, stats), contract_error);
 }
 
 TEST(BlockSort, VariousConfigsAllSort) {
@@ -124,7 +131,7 @@ TEST(BlockSort, VariousConfigsAllSort) {
     auto tile = workload::random_permutation(cfg.tile(), 99);
     gpusim::SharedMemory shm(cfg.w, cfg.tile());
     gpusim::KernelStats stats;
-    simulate_block_sort(shm, tile, cfg, stats);
+    block_sort(shm, tile, cfg, stats);
     EXPECT_TRUE(std::is_sorted(tile.begin(), tile.end()))
         << cfg.to_string();
   }
