@@ -17,6 +17,7 @@
 #include "telemetry/registry.hpp"
 #include "telemetry/span.hpp"
 #include "workload/inputs.hpp"
+#include "workload/inversions.hpp"
 
 namespace {
 
@@ -49,6 +50,39 @@ void BM_WorstCaseGenerator(benchmark::State& state) {
 }
 BENCHMARK(BM_WorstCaseGenerator)->Arg(1)->Arg(4)->Arg(7);
 
+/// The seeded generator of `wcmgen generate` and `wcmd`'s generate, with
+/// its inversion count taken during construction.
+void BM_WorstCaseGeneratorCounted(benchmark::State& state) {
+  const auto cfg = sort::params_15_512();
+  const std::size_t n = cfg.tile() << static_cast<u32>(state.range(0));
+  core::AttackOptions opts;
+  opts.tile_shuffle_seed = 1;
+  for (auto _ : state) {
+    u64 inversions = 0;
+    benchmark::DoNotOptimize(core::worst_case_input(n, cfg, opts, &inversions));
+    benchmark::DoNotOptimize(inversions);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_WorstCaseGeneratorCounted)->Arg(1)->Arg(4)->Arg(7);
+
+/// The general merge count on BM_WorstCaseGeneratorCounted's output: the
+/// work the construction count replaces.
+void BM_CountInversions(benchmark::State& state) {
+  const auto cfg = sort::params_15_512();
+  const std::size_t n = cfg.tile() << static_cast<u32>(state.range(0));
+  core::AttackOptions opts;
+  opts.tile_shuffle_seed = 1;
+  const auto input = core::worst_case_input(n, cfg, opts);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(workload::count_inversions(input));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_CountInversions)->Arg(1)->Arg(4)->Arg(7);
+
 void BM_MergePathPartition(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const auto a = workload::sorted_input(n);
@@ -63,10 +97,11 @@ void BM_MergePathPartition(benchmark::State& state) {
 BENCHMARK(BM_MergePathPartition)->Arg(1 << 12)->Arg(1 << 16)->Arg(1 << 20);
 
 void BM_DmmAnalyzeStep(benchmark::State& state) {
-  // A 32-lane step with a mid-grade conflict pattern.
+  // A 32-lane step with a mid-grade conflict pattern: 4-way conflicts in
+  // each of banks 0..7.
   std::vector<dmm::Request> step;
   for (std::size_t lane = 0; lane < 32; ++lane) {
-    step.push_back({lane, (lane % 8) * 32 + lane, dmm::Op::read, 0});
+    step.push_back({lane, (lane % 4) * 32 + lane / 4, dmm::Op::read, 0});
   }
   for (auto _ : state) {
     benchmark::DoNotOptimize(dmm::analyze_step(step, 32));
@@ -90,8 +125,8 @@ CaseStep make_step(StepCase c) {
   for (std::size_t lane = 0; lane < lanes; ++lane) {
     std::size_t addr = 0;
     switch (c) {
-      case StepCase::mid_grade:
-        addr = (lane % 8) * 32 + lane;
+      case StepCase::mid_grade:  // 4-way conflicts in banks 0..7
+        addr = (lane % 4) * 32 + lane / 4;
         break;
       case StepCase::conflict_free:
         addr = lane;
@@ -187,7 +222,9 @@ void BM_SimulatedSort(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_SimulatedSort)->Arg(1)->Arg(3);
+// Real time: the sort's blocks run on helper threads, whose CPU time the
+// main thread's clock does not see.
+BENCHMARK(BM_SimulatedSort)->Arg(1)->Arg(3)->UseRealTime();
 
 // Telemetry overhead pins (ISSUE acceptance: disabled telemetry must cost
 // <2% on the simulator microbenches).  BM_SimulatedSort above runs with
@@ -266,7 +303,7 @@ void BM_SimulatedSortTelemetryOn(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_SimulatedSortTelemetryOn);
+BENCHMARK(BM_SimulatedSortTelemetryOn)->UseRealTime();
 
 void BM_CpuReferenceSort(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));

@@ -345,7 +345,8 @@ int cmd_generate(const Args& a) {
   opts.max_attacked_rounds =
       static_cast<std::size_t>(a.get_u64("rounds", static_cast<u64>(-1)));
 
-  const auto input = core::worst_case_input(n, cfg, opts);
+  u64 inversions = 0;
+  const auto input = core::worst_case_input(n, cfg, opts, &inversions);
   std::cout << "generated " << n << " keys for " << cfg.to_string()
             << " (attacking "
             << std::min<std::size_t>(opts.max_attacked_rounds,
@@ -354,7 +355,7 @@ int cmd_generate(const Args& a) {
             << " global rounds, predicted beta_2 = "
             << core::predicted_beta2(cfg.w, cfg.E) << ")\n";
   std::cout << "inversion fraction: "
-            << workload::inversion_fraction(input) << "\n";
+            << workload::inversion_fraction(inversions, n) << "\n";
 
   const std::string out = a.get("out", "");
   if (!out.empty()) {

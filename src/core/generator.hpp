@@ -5,10 +5,31 @@
 // permutation 0..N-1.  Walking the merge tree top-down, every pair-merge of
 // the global rounds is "unmerged" with the attack mask (which output rank
 // came from which input run), fixing exactly which values land in each run;
-// recursion bottoms out at the bE base-case tiles.  Because all keys are
+// the walk bottoms out at the bE base-case tiles.  Because all keys are
 // distinct, the simulated (and any real) pairwise merge sort then
 // reproduces the adversarial per-warp access pattern at *every* global
 // merge round.
+//
+// The walk runs level by level, which is Merge Path run backwards: every
+// pair of one level has the same size and the same mask, so a level builds
+// its mask once (a bE tile's, tiled, for a global round) and then
+// stable-partitions every segment into its A and B halves in one
+// branchless pass from one flat n-word buffer into the other; the buffers
+// swap roles per level and nothing is allocated per node.  A level the
+// attack skips is the neutral split (A the lower half), which leaves the
+// buffer as it is.  After the last split the leaves are shuffled left to
+// right from one generator, as a depth-first walk would.
+//
+// Inversions by construction: every segment is sorted before its split, so
+// a split's cross inversions are, summed over the elements bound for A,
+// the B-bound elements already passed — one add in the partition loop.  A
+// pair of positions is counted at its lowest common node, so the output's
+// inversions are the splits' counts plus each leaf's own.  A leaf is
+// counted by shuffling rank indices with the same draws, gathering the
+// values through them and counting the rank permutation against a bitset
+// of the ranks placed so far and a count tree over its 64-rank words (a
+// few KB for a bE tile).  Only a caller that asks for the count pays for
+// it; the others shuffle the values in place.
 //
 // Options cover the paper's Sec. V discussion: the intra-block extension
 // (attack the block sort's rounds with >= 2 warps per pair too) and the
@@ -18,8 +39,8 @@
 
 #include <vector>
 
-#include "core/unmerge.hpp"
 #include "core/warp_construction.hpp"
+#include "dmm/access.hpp"
 #include "sort/config.hpp"
 
 namespace wcm::core {
@@ -52,9 +73,13 @@ struct AttackOptions {
 void check_worst_case_shape(std::size_t n, const sort::SortConfig& cfg);
 
 /// Generate the worst-case input permutation of {0, .., n-1} for the given
-/// sort configuration.  Throws like check_worst_case_shape().
+/// sort configuration.  When `inversions` is non-null it receives the
+/// permutation's inversion count (equal to workload::count_inversions of
+/// the result), counted during construction.  Throws like
+/// check_worst_case_shape().
 [[nodiscard]] std::vector<dmm::word> worst_case_input(
-    std::size_t n, const sort::SortConfig& cfg, const AttackOptions& opts = {});
+    std::size_t n, const sort::SortConfig& cfg, const AttackOptions& opts = {},
+    u64* inversions = nullptr);
 
 /// Number of global merge rounds the generator attacks for input size n.
 [[nodiscard]] std::size_t attacked_round_count(std::size_t n,

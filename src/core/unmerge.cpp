@@ -45,40 +45,4 @@ std::vector<bool> attack_block_mask(const sort::SortConfig& cfg,
   return mask;
 }
 
-std::vector<bool> attack_pair_mask(std::size_t pair_out,
-                                   const sort::SortConfig& cfg,
-                                   const WarpAssignment& l,
-                                   const WarpAssignment& r) {
-  const std::size_t tile = cfg.tile();
-  WCM_EXPECTS(pair_out > 0 && pair_out % tile == 0,
-              "pair output must be a multiple of bE");
-  const std::vector<bool> block = attack_block_mask(cfg, l, r);
-  std::vector<bool> mask;
-  mask.reserve(pair_out);
-  for (std::size_t base = 0; base < pair_out; base += tile) {
-    mask.insert(mask.end(), block.begin(), block.end());
-  }
-  return mask;
-}
-
-std::vector<bool> neutral_pair_mask(std::size_t pair_out) {
-  WCM_EXPECTS(pair_out % 2 == 0, "pair output must be even");
-  std::vector<bool> mask(pair_out, false);
-  std::fill(mask.begin(),
-            mask.begin() + static_cast<std::ptrdiff_t>(pair_out / 2), true);
-  return mask;
-}
-
-UnmergeSplit unmerge(std::span<const dmm::word> values,
-                     const std::vector<bool>& mask) {
-  WCM_EXPECTS(values.size() == mask.size(), "mask / values size mismatch");
-  UnmergeSplit split;
-  split.a.reserve(values.size() / 2);
-  split.b.reserve(values.size() / 2);
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    (mask[i] ? split.a : split.b).push_back(values[i]);
-  }
-  return split;
-}
-
 }  // namespace wcm::core

@@ -65,7 +65,8 @@ std::string run_generate(const json::Object& p) {
   opts.small_e_strategy =
       strategy_from(param_string(p, "strategy", "front-to-back"));
   opts.attack_intra_block = param_bool(p, "intra", false);
-  const auto input = core::worst_case_input(n, cfg, opts);
+  u64 inversions = 0;
+  const auto input = core::worst_case_input(n, cfg, opts, &inversions);
 
   json::Object result;
   result.emplace("digest",
@@ -78,7 +79,7 @@ std::string run_generate(const json::Object& p) {
   }
   result.emplace("first", json::Value(std::move(first)));
   result.emplace("inversion_fraction",
-                 json::Value(workload::inversion_fraction(input)));
+                 json::Value(workload::inversion_fraction(inversions, n)));
   result.emplace("n", json::Value(static_cast<double>(n)));
   result.emplace(
       "rounds_attacked",

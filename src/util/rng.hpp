@@ -4,8 +4,9 @@
 // reproducible across runs and platforms (std::mt19937 would also work, but
 // splitmix64/xoshiro256** are faster and have a trivially portable spec).
 
+#include <cstddef>
 #include <cstdint>
-#include <vector>
+#include <utility>
 
 #include "util/math.hpp"
 
@@ -50,9 +51,12 @@ class Xoshiro256 {
   u64 s_[4];
 };
 
-/// Fisher–Yates shuffle driven by Xoshiro256.
-template <typename T>
-void shuffle(std::vector<T>& v, Xoshiro256& rng) {
+/// Fisher–Yates shuffle driven by Xoshiro256, over a random-access range
+/// (a std::vector, a std::span).  The draws depend only on v.size(), so two
+/// ranges of one length shuffled from equal generator states get the same
+/// permutation.
+template <typename Range>
+void shuffle(Range&& v, Xoshiro256& rng) {
   for (std::size_t i = v.size(); i > 1; --i) {
     const std::size_t j = static_cast<std::size_t>(rng.below(i));
     using std::swap;

@@ -47,13 +47,17 @@ u64 count_inversions(std::span<const dmm::word> v) {
   return merge_count(data, buffer);
 }
 
-double inversion_fraction(std::span<const dmm::word> v) {
-  if (v.size() < 2) {
+double inversion_fraction(u64 inversions, std::size_t n) {
+  if (n < 2) {
     return 0.0;
   }
-  const double max_inv = static_cast<double>(v.size()) *
-                         (static_cast<double>(v.size()) - 1.0) / 2.0;
-  return static_cast<double>(count_inversions(v)) / max_inv;
+  const double max_inv =
+      static_cast<double>(n) * (static_cast<double>(n) - 1.0) / 2.0;
+  return static_cast<double>(inversions) / max_inv;
+}
+
+double inversion_fraction(std::span<const dmm::word> v) {
+  return inversion_fraction(count_inversions(v), v.size());
 }
 
 }  // namespace wcm::workload

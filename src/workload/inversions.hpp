@@ -15,8 +15,11 @@ namespace wcm::workload {
 /// merge-based counting; at most n(n-1)/2.
 [[nodiscard]] u64 count_inversions(std::span<const dmm::word> v);
 
-/// Inversions as a fraction of the maximum n(n-1)/2 (0 = sorted,
-/// 1 = reversed, ~0.5 = random).
+/// `inversions` of an n-element sequence as a fraction of the maximum
+/// n(n-1)/2 (0 = sorted, 1 = reversed, ~0.5 = random); 0 when n < 2.
+[[nodiscard]] double inversion_fraction(u64 inversions, std::size_t n);
+
+/// inversion_fraction(count_inversions(v), v.size()).
 [[nodiscard]] double inversion_fraction(std::span<const dmm::word> v);
 
 }  // namespace wcm::workload

@@ -1,18 +1,23 @@
 // Tests for the full worst-case input generator: permutation validity, the
-// unmerge round-trip through the merge tree, the attack actually landing
-// (exact beta_2 = predicted on every attacked round), family generation,
-// and the intra-block extension.
+// unmerge round-trip through the merge tree and its block-mask tiling, the
+// inversion count it reports, the attack actually landing (exact beta_2 =
+// predicted on every attacked round), family generation, and the
+// intra-block extension.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 
 #include "core/conflict_model.hpp"
 #include "core/generator.hpp"
 #include "core/unmerge.hpp"
+#include "core/warp_construction.hpp"
+#include "mergepath/serial_merge.hpp"
 #include "sort/pairwise_sort.hpp"
 #include "util/check.hpp"
 #include "workload/inputs.hpp"
+#include "workload/inversions.hpp"
 
 namespace wcm::core {
 namespace {
@@ -205,6 +210,73 @@ TEST(Generator, AttackedRoundCount) {
   EXPECT_EQ(attacked_round_count(cfg.tile() * 16, cfg), 4u);
   EXPECT_THROW((void)attacked_round_count(cfg.tile() * 3, cfg),
                contract_error);
+}
+
+TEST(Generator, TopSplitRemergesToIdentity) {
+  // The one split of a two-tile input: its unshuffled tiles are the
+  // sorted A and B runs, and a stable merge of them is the identity — the
+  // invariant every level of the construction relies on.
+  for (const sort::SortConfig cfg :
+       {sort::SortConfig{5, 64, 32}, sort::SortConfig{17, 256, 32}}) {
+    const std::size_t tile = cfg.tile();
+    const auto v = worst_case_input(2 * tile, cfg);
+    const std::span<const dmm::word> a(v.data(), tile);
+    const std::span<const dmm::word> b(v.data() + tile, tile);
+    EXPECT_TRUE(mergepath::is_sorted_run(a)) << cfg.to_string();
+    EXPECT_TRUE(mergepath::is_sorted_run(b)) << cfg.to_string();
+    const auto merged = mergepath::serial_merge(a, b);
+    for (std::size_t i = 0; i < merged.size(); ++i) {
+      ASSERT_EQ(merged[i], static_cast<dmm::word>(i)) << cfg.to_string();
+    }
+  }
+}
+
+TEST(Generator, TopRoundTilesTheBlockMask) {
+  // Attacking only the last round of a four-tile input leaves the lower
+  // level neutral, so each half is one sorted run, and output rank i came
+  // from A exactly where the block mask, tiled across the pair's blocks,
+  // says so.
+  const auto cfg = cfg_small();
+  const std::size_t tile = cfg.tile();
+  const auto l = worst_case_warp(cfg.w, cfg.E, WarpSide::L);
+  const auto r = worst_case_warp(cfg.w, cfg.E, WarpSide::R);
+  const auto block = attack_block_mask(cfg, l, r);
+  AttackOptions last_only;
+  last_only.max_attacked_rounds = 1;
+  const auto v = worst_case_input(4 * tile, cfg, last_only);
+  const std::span<const dmm::word> a(v.data(), 2 * tile);
+  ASSERT_TRUE(mergepath::is_sorted_run(a));
+  ASSERT_TRUE(mergepath::is_sorted_run(
+      std::span<const dmm::word>(v.data() + 2 * tile, 2 * tile)));
+  for (std::size_t rank = 0; rank < v.size(); ++rank) {
+    const bool from_a = std::binary_search(a.begin(), a.end(),
+                                           static_cast<dmm::word>(rank));
+    EXPECT_EQ(from_a, block[rank % tile]) << "rank " << rank;
+  }
+}
+
+TEST(Generator, ReportsTheInversionsOfItsOutput) {
+  // The count taken during construction, across leaf sizes from under one
+  // 64-rank word (w = 16, E = 3 with the intra-block extension: 48-key
+  // leaves) to several words, with and without the leaf shuffle.
+  struct Case {
+    sort::SortConfig cfg;
+    bool intra;
+    u64 seed;
+  };
+  for (const Case& c : {Case{{3, 32, 16}, true, 5}, Case{{3, 32, 16}, false, 5},
+                        Case{{5, 64, 32}, false, 0}, Case{{5, 64, 32}, true, 9},
+                        Case{{33, 128, 64}, true, 2}}) {
+    AttackOptions opts;
+    opts.attack_intra_block = c.intra;
+    opts.tile_shuffle_seed = c.seed;
+    const std::size_t n = c.cfg.tile() * 4;
+    u64 reported = 0;
+    const auto v = worst_case_input(n, c.cfg, opts, &reported);
+    EXPECT_EQ(reported, workload::count_inversions(v))
+        << c.cfg.to_string() << " intra " << c.intra << " seed " << c.seed;
+    EXPECT_EQ(worst_case_input(n, c.cfg, opts), v) << c.cfg.to_string();
+  }
 }
 
 TEST(Generator, NoAttackOptionYieldsNeutralInput) {

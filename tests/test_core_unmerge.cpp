@@ -1,13 +1,13 @@
-// Tests for the unmerge machinery: block masks, pair masks, neutral masks,
-// and the value splitter.
+// Tests for the unmerge machinery: the attack mask of one thread block.
+// The generator's use of it (tiling, splitting, neutral levels) is tested
+// in test_core_generator.cpp.
 
 #include <gtest/gtest.h>
 
-#include <numeric>
+#include <algorithm>
 
 #include "core/unmerge.hpp"
 #include "core/warp_construction.hpp"
-#include "mergepath/serial_merge.hpp"
 #include "util/check.hpp"
 
 namespace wcm::core {
@@ -65,53 +65,6 @@ TEST(AttackBlockMask, RejectsAsymmetricLR) {
   const auto cfg = cfg_small();
   const auto l = worst_case_warp(cfg.w, cfg.E, WarpSide::L);
   EXPECT_THROW((void)attack_block_mask(cfg, l, l), contract_error);
-}
-
-TEST(AttackPairMask, TilesBlockMask) {
-  const auto cfg = cfg_small();
-  const auto l = worst_case_warp(cfg.w, cfg.E, WarpSide::L);
-  const auto r = worst_case_warp(cfg.w, cfg.E, WarpSide::R);
-  const auto block = attack_block_mask(cfg, l, r);
-  const auto pair = attack_pair_mask(4 * cfg.tile(), cfg, l, r);
-  ASSERT_EQ(pair.size(), 4 * cfg.tile());
-  for (std::size_t i = 0; i < pair.size(); ++i) {
-    EXPECT_EQ(pair[i], block[i % cfg.tile()]);
-  }
-  EXPECT_THROW((void)attack_pair_mask(cfg.tile() + 1, cfg, l, r),
-               contract_error);
-}
-
-TEST(NeutralPairMask, FirstHalfTrue) {
-  const auto mask = neutral_pair_mask(10);
-  for (std::size_t i = 0; i < 5; ++i) {
-    EXPECT_TRUE(mask[i]);
-    EXPECT_FALSE(mask[5 + i]);
-  }
-  EXPECT_THROW((void)neutral_pair_mask(7), contract_error);
-}
-
-TEST(Unmerge, SplitsAndRemergesToIdentity) {
-  // unmerge followed by a stable merge is the identity on sorted input —
-  // the core invariant the generator relies on.
-  const auto cfg = cfg_small();
-  const auto l = worst_case_warp(cfg.w, cfg.E, WarpSide::L);
-  const auto r = worst_case_warp(cfg.w, cfg.E, WarpSide::R);
-  const auto mask = attack_block_mask(cfg, l, r);
-
-  std::vector<dmm::word> values(cfg.tile());
-  std::iota(values.begin(), values.end(), dmm::word{100});
-  const auto split = unmerge(values, mask);
-  EXPECT_EQ(split.a.size(), cfg.tile() / 2);
-  EXPECT_EQ(split.b.size(), cfg.tile() / 2);
-  EXPECT_TRUE(mergepath::is_sorted_run(split.a));
-  EXPECT_TRUE(mergepath::is_sorted_run(split.b));
-  EXPECT_EQ(mergepath::serial_merge(split.a, split.b), values);
-}
-
-TEST(Unmerge, SizeMismatchThrows) {
-  std::vector<dmm::word> values(4);
-  std::vector<bool> mask(5);
-  EXPECT_THROW((void)unmerge(values, mask), contract_error);
 }
 
 TEST(AttackMasks, LargeERegimeAlsoWellFormed) {
